@@ -13,11 +13,9 @@ from itertools import combinations
 
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.instance import AshgInstance, Partition, iter_partitions
-from ashg.qbf import (AnnotatedTd, E3CnfFDnf, e3cnffdnf_to_ea, fresh_primal_td,
-                      incidence_td_for, incidence_to_primal, qbf_to_cnf,
+from ashg.qbf import (E3CnfFDnf, e3cnffdnf_to_ea, fresh_primal_td, qbf_to_cnf,
                       sat_treewidth, split_to_3dnf)
-from ashg.treedecomp import (TreeDecomposition, heuristic_decompose,
-                             validate_td)
+from ashg.treedecomp import heuristic_decompose, validate_td
 from ashg.verify import verify_bruteforce
 
 EXISTS = "Exists"
@@ -52,7 +50,6 @@ class CsEncoding:
     edge_var: dict  # (u,v) with u<v -> existential variable id
     vertex_var: dict  # u -> universal variable id
     gprime_adj: dict  # u -> set of neighbors after bag completion
-    td: TreeDecomposition  # decomposition of the input graph
 
 
 def _complete_bags(inst, td):
@@ -163,88 +160,7 @@ def encode_cs(inst, td=None, max_terms=2_000_000):
     phi = E3CnfFDnf(tuple(range(1, len(edge_var) + 1)),
                     tuple(vertex_var[u] for u in inst.vertices()),
                     tuple(cnf), tuple(dnf))
-    return CsEncoding(phi, edge_var, vertex_var, adj, td)
-
-
-def build_incidence_td(enc, inst=None):
-    """Incidence decomposition of the encoding along the carried graph
-    decomposition: each original bag is closed under incident edge
-    variables and neighboring vertex variables, transitivity clauses hang
-    below a bag containing their triple, and each vertex's terms hang
-    below the highest bag containing that vertex."""
-    td = enc.td
-    adj = enc.gprime_adj
-    vertex_var = enc.vertex_var
-
-    def xvar(u, v):
-        return enc.edge_var[(u, v) if u < v else (v, u)]
-
-    # rooted view
-    parent = {0: None}
-    order = [0]
-    for node in order:
-        for nb in sorted(td.tree[node]):
-            if nb not in parent:
-                parent[nb] = node
-                order.append(nb)
-
-    base = []
-    for b in td.bags:
-        bag = set()
-        for u in b:
-            bag.add(vertex_var[u])
-            for v in adj[u]:
-                bag.add(vertex_var[v])
-                bag.add(xvar(u, v))
-        base.append(bag)
-
-    clauses = {}
-    counter = 0
-
-    def new_label(lits):
-        nonlocal counter
-        label = ("c", counter)
-        counter += 1
-        clauses[label] = tuple(lits)
-        return label
-
-    # pending[t] = clause labels whose node subdivides the edge above t
-    pending = {t: [] for t in range(len(td.bags))}
-    cnf_labels = set()
-    phi = enc.formula
-    for cl in phi.cnf:
-        vs = {abs(l) for l in cl}
-        home = next(t for t, bag in enumerate(base) if vs <= bag)
-        label = new_label(cl)
-        cnf_labels.add(label)
-        pending[home].append(label)
-    # occurrence roots: topmost bag of the input td containing each vertex
-    depth = {0: 0}
-    for node in order[1:]:
-        depth[node] = depth[parent[node]] + 1
-    top_of = {}
-    for t, b in enumerate(td.bags):
-        for u in b:
-            if u not in top_of or depth[t] < depth[top_of[u]]:
-                top_of[u] = t
-    for term in phi.dnf[:-1]:
-        u = next(w for w, var in vertex_var.items() if var == term[0])
-        pending[top_of.get(u, 0)].append(new_label(term))
-    neg_label = new_label(phi.dnf[-1])
-
-    bags = [set(b) | {neg_label} for b in base]
-    edges = []
-    for t in order:
-        chain = [len(bags) + i for i in range(len(pending[t]))]
-        for label in pending[t]:
-            bags.append(set(base[t]) | {neg_label, label})
-        nodes = [t] + chain
-        for a, b in zip(nodes, nodes[1:]):
-            edges.append((a, b))
-        if parent[t] is not None:
-            edges.append((nodes[-1], parent[t]))
-    return AnnotatedTd(bags, edges, set(enc.formula.y_vars), clauses,
-                       cnf_labels, kind="incidence")
+    return CsEncoding(phi, edge_var, vertex_var, adj)
 
 
 def decode_partition(enc, inst, model):
@@ -272,16 +188,17 @@ def decode_partition(enc, inst, model):
     return Partition(blocks, inst.n)
 
 
-def solve_cs(inst, td=None, use_carried_td=False, max_terms=2_000_000,
-             max_states=20_000_000, collect=None):
+def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
+             collect=None):
     """Decide core stable partition existence through the formula pipeline.
 
-    With use_carried_td the incidence decomposition derived from the
-    graph decomposition is carried through every transformation; the
-    default decomposes the 3-DNF afresh, which is faster.  Without td,
-    the graph decomposed is that of the non-zero edges.  collect, when a
-    dict, receives the intermediate artifacts; on the default path its
-    incidence_td is built for them alone.
+    encode_cs builds the formula over the bag-completed graph of td, or,
+    without td, of a decomposition of the graph of the non-zero edges.
+    The formula is rewritten to exists-forall shape and split to 3-DNF;
+    the 3-DNF's primal graph is decomposed afresh, and the formula is
+    compiled along that decomposition to a CNF whose satisfiability
+    sat_treewidth decides.  collect, when a dict, receives the
+    intermediate artifacts.
     """
     if inst.n == 0:
         return CsResult(EXISTS, Partition([], 0), method="qbf")
@@ -290,22 +207,11 @@ def solve_cs(inst, td=None, use_carried_td=False, max_terms=2_000_000,
         # the decomposition need only cover the non-zero edges
         inst = AshgInstance(inst.n, [e for e in inst.edges if e[2]])
     enc = encode_cs(inst, td, max_terms=max_terms)
-    if use_carried_td:
-        td0 = build_incidence_td(enc)
-        q, td1 = e3cnffdnf_to_ea(enc.formula, td0)
-        q3, td2 = split_to_3dnf(q, td1)
-        tdp = incidence_to_primal(td2)
-    else:
-        td0 = None
-        q, _ = e3cnffdnf_to_ea(enc.formula)
-        q3, _ = split_to_3dnf(q)
-        tdp = fresh_primal_td(q3)
-    cnf, psitd = qbf_to_cnf(q3, tdp)
+    q, _ = e3cnffdnf_to_ea(enc.formula)
+    q3, _ = split_to_3dnf(q)
+    cnf, psitd = qbf_to_cnf(q3, fresh_primal_td(q3))
     if collect is not None:
-        collect.update(encoding=enc, ea=q, dnf3=q3, cnf=cnf,
-                       incidence_td=(td0 if use_carried_td
-                                     else incidence_td_for(enc.formula)),
-                       cnf_td=psitd)
+        collect.update(encoding=enc, ea=q, dnf3=q3, cnf=cnf, cnf_td=psitd)
     sat, model = sat_treewidth(cnf, psitd, max_states=max_states)
     if not sat:
         return CsResult(NOT_EXISTS, method="qbf",

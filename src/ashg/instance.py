@@ -240,7 +240,10 @@ def parse_instance(text):
         elif parts[0] == "s":
             if len(parts) != 3 or parts[1] != "scale":
                 raise ParseError("expected 's scale <k>'", lineno)
-            scale = int(parts[2])
+            try:
+                scale = int(parts[2])
+            except ValueError:
+                raise ParseError("non-integer scale", lineno)
             if scale <= 0:
                 raise ParseError("scale must be positive", lineno)
         elif parts[0] == "e":

@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.treedecomp import (LabelGraph, TreeDecomposition,
-                             heuristic_decompose, validate_td)
+                             heuristic_decompose, root_tree)
 
 
 def _check_term(lits):
@@ -69,78 +69,16 @@ class Cnf:
     num_vars: int
 
 
-class AnnotatedTd:
-    """Tree decomposition over formula labels.
+class AnnotatedTd(TreeDecomposition):
+    """Tree decomposition of a formula's primal graph, with the set of
+    its universally quantified variables."""
 
-    Labels are variable ids (ints) or clause labels ("c", k).  clauses maps
-    each clause label to its literal tuple; cnf_labels marks which labels
-    are CNF clauses (the rest are DNF terms).
-    """
-
-    def __init__(self, bags, tree_edges, universal, clauses=None,
-                 cnf_labels=(), kind="incidence"):
-        self.bags = [frozenset(b) for b in bags]
-        self.tree = {i: set() for i in range(len(self.bags))}
-        for i, j in tree_edges:
-            self.tree[i].add(j)
-            self.tree[j].add(i)
+    def __init__(self, bags, tree_edges, universal):
+        super().__init__(bags, tree_edges)
         self.universal = frozenset(universal)
-        self.clauses = dict(clauses or {})
-        self.cnf_labels = frozenset(cnf_labels)
-        self.kind = kind
-
-    def bag_vars(self, i):
-        return {v for v in self.bags[i] if isinstance(v, int)}
-
-    def bag_universal(self, i):
-        return {v for v in self.bags[i] if isinstance(v, int) and v in self.universal}
-
-    def bag_clauses(self, i):
-        return {v for v in self.bags[i] if not isinstance(v, int)}
-
-    @property
-    def width(self):
-        return max((len(b) for b in self.bags), default=0) - 1
 
     def max_universal_per_bag(self):
-        return max((len(self.bag_universal(i)) for i in range(len(self.bags))),
-                   default=0)
-
-    def max_clauses_per_bag(self):
-        return max((len(self.bag_clauses(i)) for i in range(len(self.bags))),
-                   default=0)
-
-    def tree_edges(self):
-        return [(i, j) for i in self.tree for j in self.tree[i] if i < j]
-
-    def validate(self):
-        """None, or a violation report against the formula's graph."""
-        if self.kind == "incidence":
-            vertices = set()
-            edges = []
-            for b in self.bags:
-                vertices |= b
-            for label, lits in self.clauses.items():
-                vertices.add(label)
-                for l in lits:
-                    vertices.add(abs(l))
-                    edges.append((label, abs(l)))
-            graph = LabelGraph(vertices, edges)
-        else:
-            vertices = set()
-            for b in self.bags:
-                vertices |= b
-            edges = []
-            for lits in self.clauses.values():
-                vs = sorted({abs(l) for l in lits})
-                for a in range(len(vs)):
-                    for b2 in range(a + 1, len(vs)):
-                        edges.append((vs[a], vs[b2]))
-            graph = LabelGraph(vertices, edges)
-        shim = TreeDecomposition.__new__(TreeDecomposition)
-        shim.bags = self.bags
-        shim.tree = self.tree
-        return validate_td(graph, shim)
+        return max((len(b & self.universal) for b in self.bags), default=0)
 
 
 def _next_var(*var_groups):
@@ -195,43 +133,14 @@ def eval_bruteforce(q, cap=24):
     return False, None
 
 
-def incidence_td_for(phi):
-    """An incidence decomposition of phi with every clause placed in one
-    bag together with all its variables (built over the primal graph)."""
-    variables = sorted(set(phi.x_vars) | set(phi.y_vars))
-    edges = []
-    for group in (phi.cnf, phi.dnf):
-        for lits in group:
-            vs = sorted({abs(l) for l in lits})
-            for a in range(len(vs)):
-                for b in range(a + 1, len(vs)):
-                    edges.append((vs[a], vs[b]))
-    graph = LabelGraph(variables, edges)
-    td = heuristic_decompose(graph)
-    bags = [set(b) for b in td.bags]
-    clauses = {}
-    cnf_labels = set()
-    counter = 0
-    for group, is_cnf in ((phi.cnf, True), (phi.dnf, False)):
-        for lits in group:
-            label = ("c", counter)
-            counter += 1
-            clauses[label] = tuple(lits)
-            vs = {abs(l) for l in lits}
-            home = next(i for i, b in enumerate(bags) if vs <= b)
-            bags[home].add(label)
-            if is_cnf:
-                cnf_labels.add(label)
-    return AnnotatedTd(bags, td.tree_edges(), set(phi.y_vars), clauses,
-                       cnf_labels, kind="incidence")
-
-
-def e3cnffdnf_to_ea(phi, td=None):
+def e3cnffdnf_to_ea(phi):
     """Push the existential CNF into the universal matrix.
 
     One new universal variable per CNF clause plus one (y_C) guarding the
     original DNF terms; a final all-negative term covers the case where no
-    new variable is raised.  Equisatisfiable with the input.
+    new variable is raised.  Equisatisfiable with the input.  Returns
+    (formula, None), the pair split_to_3dnf returns too, which the
+    benchmark's size counters unpack.
     """
     nxt = _next_var(phi.x_vars, phi.y_vars)
     clause_var = {}
@@ -247,197 +156,28 @@ def e3cnffdnf_to_ea(phi, td=None):
             t = _check_term((clause_var[i], l))
             if t is not None:
                 new_terms.append(t)
-    guarded = {}
     for t in phi.dnf:
         g = _check_term((y_c,) + t)
-        guarded[t] = g
         if g is not None:
             new_terms.append(g)
     chi = tuple(sorted(-v for v in clause_var.values())) + (-y_c,)
     new_terms.append(chi)
 
     y_vars = tuple(phi.y_vars) + tuple(clause_var[i] for i in range(len(phi.cnf))) + (y_c,)
-    q = QbfEA(tuple(phi.x_vars), y_vars, tuple(new_terms))
-    if td is None:
-        return q, None
-
-    counter = 1 + max((k for _, k in td.clauses), default=-1)
-    bags = [set(b) for b in td.bags]
-    clauses = {}
-    cnf_literals = {label: td.clauses[label] for label in td.cnf_labels}
-    dnf_labels = [l for l in td.clauses if l not in td.cnf_labels]
-
-    # replace each DNF term label by its y_C-guarded version in place
-    relabel = {}
-    for label in dnf_labels:
-        g = guarded.get(td.clauses[label])
-        if g is None:
-            relabel[label] = None
-        else:
-            relabel[label] = label
-            clauses[label] = g
-    for i, b in enumerate(bags):
-        for label in list(b):
-            if not isinstance(label, int) and label in relabel and relabel[label] is None:
-                b.discard(label)
-
-    # each CNF clause d becomes <=3 terms (y_d and one literal), living in
-    # the bags that held d together with the new universal variable y_d
-    chi_label = ("c", counter)
-    counter += 1
-    clauses[chi_label] = chi
-    label_to_index = {}
-    for i, cl in enumerate(phi.cnf):
-        for label in td.cnf_labels:
-            if td.clauses[label] == cl and label not in label_to_index.values():
-                label_to_index[i] = label
-                break
-    for i, cl in enumerate(phi.cnf):
-        d_label = label_to_index[i]
-        holders = [j for j, b in enumerate(bags) if d_label in b]
-        new_labels = []
-        for l in cl:
-            t = _check_term((clause_var[i], l))
-            if t is None:
-                continue
-            nl = ("c", counter)
-            counter += 1
-            clauses[nl] = t
-            new_labels.append(nl)
-        for j in holders:
-            bags[j].discard(d_label)
-            bags[j].add(clause_var[i])
-            bags[j].update(new_labels)
-    for b in bags:
-        b.add(y_c)
-        b.add(chi_label)
-
-    new_td = AnnotatedTd(bags, td.tree_edges(), set(y_vars), clauses,
-                         (), kind="incidence")
-    return q, new_td
+    return QbfEA(tuple(phi.x_vars), y_vars, tuple(new_terms)), None
 
 
-def split_to_3dnf(q, td=None):
+def split_to_3dnf(q):
     """Split every DNF term wider than 3 into terms of at most 3 literals
-    joined by fresh universal variables.
-
-    With a decomposition, each term becomes its own chain, placed along
-    td so new material stays near the bags already holding the term, and
-    the updated decomposition is returned.  Without one, terms that share
-    literals share split variables, and the decomposition is None.
-    """
-    if td is None:
-        return _split_shared(q), None
-    nxt = _next_var(q.x_vars, q.y_vars)
-    bags = [set(b) for b in td.bags]
-    clauses = dict(td.clauses)
-    counter = 1 + max((k for _, k in clauses), default=-1)
-
-    # rooted view of the tree
-    n_nodes = len(bags)
-    parent = {0: None}
-    order = [0]
-    depth = {0: 0}
-    for node in order:
-        for nb in sorted(td.tree[node]):
-            if nb not in parent:
-                parent[nb] = node
-                depth[nb] = depth[node] + 1
-                order.append(nb)
-
-    def tree_path(a, b):
-        """Nodes on the unique tree path between a and b (inclusive)."""
-        left, right = [a], [b]
-        while a != b:
-            if depth[a] >= depth[b]:
-                a = parent[a]
-                left.append(a)
-            else:
-                b = parent[b]
-                right.append(b)
-        return left + right[:-1]
-
-    var_nodes = {}
-
-    def nodes_with(item):
-        if item not in var_nodes:
-            var_nodes[item] = {i for i, b in enumerate(bags) if item in b}
-        return var_nodes[item]
-
-    queue = [label for label, lits in clauses.items() if len(lits) > 3]
-    while queue:
-        label = queue.pop(0)
-        lits = clauses[label]
-        if len(lits) <= 3:
-            continue
-        home = sorted(i for i, b in enumerate(bags) if label in b)
-        home_set = set(home)
-        # pick one co-location node per literal, deepest first
-        anchor = {}
-        for l in lits:
-            cands = nodes_with(abs(l)) & home_set
-            if not cands:
-                raise PreconditionError(
-                    "decomposition does not cover clause %r" % (label,))
-            anchor[l] = max(cands, key=lambda i: (depth[i], -i))
-        # lowest home node whose subtree holds at least two anchors
-        best = None
-        for i in home:
-            cover = [l for l in lits
-                     if _is_ancestor(anchor[l], i, parent, depth)]
-            if len(cover) >= 2:
-                if best is None or depth[i] > depth[best[0]]:
-                    best = (i, cover)
-        B, cover = best
-        cover.sort(key=lambda l: (depth[anchor[l]], -abs(l)), reverse=True)
-        l1, l2 = cover[0], cover[1]
-        z = nxt
-        nxt += 1
-        bags[B].add(z)
-        var_nodes[z] = {B}
-
-        first = _check_term((l1, l2, z))
-        rest = _check_term(tuple(l for l in lits if l not in (l1, l2)) + (-z,))
-        for i, b in enumerate(bags):
-            b.discard(label)
-        del clauses[label]
-        if first is not None:
-            nl = ("c", counter)
-            counter += 1
-            clauses[nl] = first
-            spots = set(tree_path(anchor[l1], B)) | set(tree_path(anchor[l2], B))
-            for i in spots:
-                bags[i].add(nl)
-        if rest is not None:
-            nl = ("c", counter)
-            counter += 1
-            clauses[nl] = rest
-            spots = {B}
-            for l in lits:
-                if l not in (l1, l2):
-                    spots |= set(tree_path(anchor[l], B))
-            for i in spots:
-                bags[i].add(nl)
-            if len(rest) > 3:
-                queue.append(nl)
-
-    y_vars = tuple(q.y_vars) + tuple(range(_next_var(q.x_vars, q.y_vars), nxt))
-    terms = tuple(clauses[label] for label in sorted(clauses))
-    q3 = QbfEA(tuple(q.x_vars), y_vars, terms)
-    new_td = AnnotatedTd(bags, td.tree_edges(), set(y_vars), clauses,
-                         (), kind="incidence")
-    return q3, new_td
-
-
-def _split_shared(q):
-    """Split wide terms along a trie of their literal sequences.
+    joined by fresh universal variables, along a trie of the terms'
+    literal sequences.
 
     The terms sharing their first two literals l1, l2 become one term
     (l1, l2, z) plus their remainders, each guarded by -z; below a guard,
     the remainders sharing their first literal are factored out the same
     way.  Each step is sound because z occurs positively once and
     negatively only in its group: forall z. (A and z) or (-z and B1) or
-    ... or O equals (A and (B1 or ...)) or O.
+    ... or O equals (A and (B1 or ...)) or O.  Returns (formula, None).
     """
     nxt = _next_var(q.x_vars, q.y_vars)
     first = nxt
@@ -460,28 +200,7 @@ def _split_shared(q):
 
     factor((), q.terms)
     return QbfEA(tuple(q.x_vars), tuple(q.y_vars) + tuple(range(first, nxt)),
-                 tuple(out))
-
-
-def _is_ancestor(node, anc, parent, depth):
-    while depth[node] > depth[anc]:
-        node = parent[node]
-    return node == anc
-
-
-def incidence_to_primal(td):
-    """Replace each clause label by the variables it contains."""
-    bags = []
-    for b in td.bags:
-        nb = set()
-        for item in b:
-            if isinstance(item, int):
-                nb.add(item)
-            else:
-                nb.update(abs(l) for l in td.clauses[item])
-        bags.append(nb)
-    return AnnotatedTd(bags, td.tree_edges(), td.universal, td.clauses,
-                       (), kind="primal")
+                 tuple(out)), None
 
 
 def fresh_primal_td(q, heuristic="min-degree"):
@@ -494,9 +213,7 @@ def fresh_primal_td(q, heuristic="min-degree"):
              for e in combinations(sorted(set(map(abs, t))), 2)]
     graph = LabelGraph(variables, edges)
     td = heuristic_decompose(graph, heuristic=heuristic, marked=q.y_vars)
-    clauses = {("c", i): t for i, t in enumerate(q.terms)}
-    return AnnotatedTd(td.bags, td.tree_edges(), set(q.y_vars), clauses,
-                       (), kind="primal")
+    return AnnotatedTd(td.bags, td.tree_edges(), q.y_vars)
 
 
 def qbf_to_cnf(q, td):
@@ -527,11 +244,9 @@ def qbf_to_cnf(q, td):
     """
     if not q.is_3dnf:
         raise PreconditionError("matrix is not in 3-DNF")
-    if td.kind != "primal":
-        raise PreconditionError("qbf_to_cnf needs a primal-graph decomposition")
     c = _Compile(q, td.universal)
     root = len(td.bags) - 1
-    parent, order = _root_tree(td.tree, root)
+    parent, order = root_tree(td.tree, root)
     zs = {}
     # a bag of td whose parent lacks only universal variables of it joins
     # the parent's bag: between the two, the DP would drop only gates,
@@ -576,9 +291,8 @@ def qbf_to_cnf(q, td):
     index = {t: i for i, t in enumerate(out_bags)}
     for t in order:  # a merged bag takes its parent's index
         index.setdefault(t, index.get(into.get(t)))
-    out_td = AnnotatedTd(list(out_bags.values()),
-                         [(index[a], index[b]) for a, b in out_edges],
-                         set(), {}, (), kind="primal")
+    out_td = TreeDecomposition(list(out_bags.values()),
+                               [(index[a], index[b]) for a, b in out_edges])
     out_td.root = index[root]
     # stats for the size-bound property, over the compiled decomposition
     univ = [len(b & c.universal) for b in td.bags]
@@ -807,7 +521,7 @@ def sat_treewidth(cnf, td, max_states=20_000_000):
     all the bags' tables together.
     """
     bags, tree, root = _absorb(td)
-    parent, order = _root_tree(tree, root)
+    parent, order = root_tree(tree, root)
     kids = {i: [c for c in sorted(tree[i]) if c != parent[i]] for i in bags}
     # each clause is checked in the first bag the DP reaches that holds
     # it, when the last of its variables the children lack is assigned
@@ -970,23 +684,11 @@ def _gather(col, n, pick):
     return int("".join(pick(_column_text(col, n)))[::-1], 2)
 
 
-def _root_tree(tree, root):
-    parent = {root: None}
-    order = [root]
-    for node in order:
-        for nb in sorted(tree[node]):
-            if nb not in parent:
-                parent[nb] = node
-                order.append(nb)
-    return parent, order
-
-
 def _absorb(td):
     """Contract every tree edge whose one bag contains the other.
 
     Returns (bags, tree, root) keyed by the surviving node ids."""
-    bags = {i: frozenset(v for v in b if isinstance(v, int))
-            for i, b in enumerate(td.bags)}
+    bags = dict(enumerate(td.bags))
     root = getattr(td, "root", 0)
     into = {}
 

@@ -80,6 +80,20 @@ class NiceTreeDecomposition:
         return TreeDecomposition(self.bags, edges)
 
 
+def root_tree(tree, root):
+    """(parent, order) of the tree reached from root: parent maps each
+    node reached to its parent (None for root), order lists them in
+    breadth-first order, parents before children."""
+    parent = {root: None}
+    order = [root]
+    for node in order:
+        for nb in sorted(tree[node]):
+            if nb not in parent:
+                parent[nb] = node
+                order.append(nb)
+    return parent, order
+
+
 def validate_td(inst, td):
     """None when td is a valid decomposition of inst, else a violation report.
 
@@ -98,15 +112,7 @@ def validate_td(inst, td):
     edge_count = sum(len(nb) for nb in td.tree.values()) // 2
     if edge_count != k - 1:
         return "tree has %d edges, expected %d" % (edge_count, k - 1)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in td.tree[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != k:
+    if len(root_tree(td.tree, 0)[1]) != k:
         return "tree is disconnected"
     # every vertex occurs somewhere
     occ = {v: [] for v in inst.vertices()}
@@ -139,7 +145,7 @@ def validate_td(inst, td):
 
 class LabelGraph:
     """Minimal graph over arbitrary hashable labels, for the decomposition
-    and validation helpers (formula primal/incidence graphs)."""
+    and validation helpers (formula primal graphs)."""
 
     def __init__(self, vertices, edge_pairs):
         self._vertices = list(vertices)
@@ -304,6 +310,13 @@ def make_nice(td, root=0):
     return nice
 
 
+def _ints(tokens, what, lineno):
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError("non-integer %s" % what, lineno) from None
+
+
 def read_td(text, inst):
     header = None
     bags = {}
@@ -318,47 +331,40 @@ def read_td(text, inst):
                 raise ParseError("duplicate 's td' header", lineno)
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError("expected 's td <#bags> <max-bag-size> <n>'", lineno)
-            header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            header = _ints(parts[2:], "header fields", lineno)
         elif parts[0] == "b":
             if header is None:
                 raise ParseError("bag before header", lineno)
-            bid = int(parts[1])
+            if len(parts) < 2:
+                raise ParseError("expected 'b <id> <vertices>'", lineno)
+            bid, *verts = _ints(parts[1:], "bag fields", lineno)
             if not 1 <= bid <= header[0]:
                 raise ParseError("bag id %d out of range" % bid, lineno)
             if bid in bags:
                 raise ParseError("duplicate bag %d" % bid, lineno)
-            verts = [int(tok) - 1 for tok in parts[2:]]
             for v in verts:
-                if not 0 <= v < inst.n:
-                    raise ParseError("bag references unknown vertex %d" % (v + 1), lineno)
-            bags[bid] = frozenset(verts)
+                if not 1 <= v <= inst.n:
+                    raise ParseError("bag references unknown vertex %d" % v, lineno)
+            bags[bid] = frozenset(v - 1 for v in verts)
         else:
             if header is None:
                 raise ParseError("edge before header", lineno)
             if len(parts) != 2:
                 raise ParseError("expected tree edge '<i> <j>'", lineno)
-            i, j = int(parts[0]), int(parts[1])
+            i, j = _ints(parts, "tree edge", lineno)
             if not (1 <= i <= header[0] and 1 <= j <= header[0]):
                 raise ParseError("tree edge references unknown bag", lineno)
             edges.append((i - 1, j - 1))
     if header is None:
         raise ParseError("missing 's td' header")
     nbags = header[0]
-    if set(bags) != set(range(1, nbags + 1)):
+    if len(bags) != nbags:  # every bag id lies in 1..nbags, once
         raise ParseError("header declares %d bags, found %d" % (nbags, len(bags)))
     if len(edges) != nbags - 1:
         raise ParseError("expected %d tree edges, found %d" % (nbags - 1, len(edges)))
     td = TreeDecomposition([bags[i] for i in range(1, nbags + 1)], edges)
     # reject non-tree edge sets (cycles disguised by correct edge count)
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in td.tree[i]:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    if len(seen) != nbags:
+    if len(root_tree(td.tree, 0)[1]) != nbags:
         raise ParseError("tree edges do not form a tree")
     return td
 

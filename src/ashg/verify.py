@@ -182,7 +182,10 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
                     if u != v and inst.has_edge(v, u):
                         if mode == VALUE:
                             gmap[u] += inst.weight(v, u)
-                            assert -bound <= gmap[u] <= bound
+                            if not -bound <= gmap[u] <= bound:
+                                raise RuntimeError(
+                                    "gained utility %d of vertex %d out of "
+                                    "bound %d" % (gmap[u], u, bound))
                         else:
                             gmap[u] |= {v}
                 new_state = (in_x - {v}, tuple(sorted(gmap.items())), touched)
@@ -201,7 +204,10 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
                     for v, g in lg:
                         if mode == VALUE:
                             mg = g + rmap[v]
-                            assert -bound <= mg <= bound
+                            if not -bound <= mg <= bound:
+                                raise RuntimeError(
+                                    "gained utility %d of vertex %d out of "
+                                    "bound %d" % (mg, v, bound))
                         else:
                             mg = g | rmap[v]
                         merged.append((v, mg))
@@ -215,7 +221,9 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
     for state, _ in tables[nice.root].items():
         if state[2]:
             witness = _reconstruct(nice, tables, state)
-            assert is_blocking(inst, P, witness)
+            if not is_blocking(inst, P, witness):
+                raise RuntimeError("witness %r is not blocking"
+                                   % sorted(witness))
             return VerificationResult(UNSTABLE, witness, {"states": total_states})
     return VerificationResult(STABLE, stats={"states": total_states})
 

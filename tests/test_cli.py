@@ -118,6 +118,23 @@ def test_verify_parse_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_verify_non_integer_fields_exit_2(runner, tmp_path):
+    g = tmp_path / "bad.graph"
+    p = tmp_path / "p.partition"
+    write(g, "p ashg 2 1\ns scale x\ne 0 1 1\n")
+    write(p, "0 1\n")
+    result = runner.invoke(main, ["verify", str(g), str(p)])
+    assert result.exit_code == 2, result.output
+    write(g, "p ashg 2 1\ne 0 1 1\n")
+    t = tmp_path / "bad.td"
+    for bad_td in ("s td x 2 2\nb 1 1 2\n", "s td 1 2 2\nb x 1\n",
+                   "s td 2 2 2\nb 1 1\nb 2 1 2\n1 x\n"):
+        write(t, bad_td)
+        result = runner.invoke(main, ["verify", str(g), str(p), "--algo", "tw",
+                                      "--td", str(t)])
+        assert result.exit_code == 2, (bad_td, result.output)
+
+
 def test_solve_qbf_exists_prints_partition(runner, tmp_path):
     g = tmp_path / "edge.graph"
     write(g, "p ashg 2 1\ne 0 1 1\n")

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.existence import (EXISTS, NOT_EXISTS, build_incidence_td,
-                            decode_partition, encode_cs, solve_cs,
-                            solve_cs_bruteforce)
+from ashg.existence import (EXISTS, NOT_EXISTS, decode_partition, encode_cs,
+                            solve_cs, solve_cs_bruteforce)
 from ashg.instance import AshgInstance, Partition
 from ashg.qbf import eval_bruteforce
 from ashg.treedecomp import heuristic_decompose
@@ -101,15 +100,6 @@ def test_encode_satisfiability_independent_of_td():
         assert sats[0] == solve_cs_bruteforce(inst).exists
 
 
-def test_build_incidence_td_validates():
-    rng = random.Random(23)
-    for _ in range(15):
-        inst = random_game(rng, max_n=4)
-        enc = encode_cs(inst)
-        td = build_incidence_td(enc)
-        assert td.validate() is None
-
-
 def test_decode_partition_ignores_unchosen_edges():
     inst = AshgInstance(3, [(0, 1, 1), (1, 2, 1)])
     enc = encode_cs(inst)
@@ -157,8 +147,7 @@ def test_solve_cs_collect_artifacts():
     collect = {}
     res = solve_cs(AshgInstance(2, [(0, 1, 1)]), collect=collect)
     assert res.verdict == EXISTS
-    assert {"encoding", "ea", "dnf3", "cnf", "incidence_td",
-            "cnf_td"} <= set(collect)
+    assert {"encoding", "ea", "dnf3", "cnf", "cnf_td"} <= set(collect)
     assert collect["dnf3"].is_3dnf
 
 
@@ -170,13 +159,6 @@ def test_solve_cs_matches_bruteforce_small():
         res = solve_cs(inst)
         assert res.exists == solve_cs_bruteforce(inst).exists
         seen_not_exists |= not res.exists
-    # 3-vertex games always admit a stable partition; check one known
-    # NotExists case through the carried-decomposition path too
+    # every game on at most 3 vertices admits a core stable partition
     assert not seen_not_exists
 
-
-def test_solve_cs_carried_td_path():
-    inst = AshgInstance(2, [(0, 1, -1)])
-    res = solve_cs(inst, use_carried_td=True)
-    assert res.verdict == EXISTS
-    assert len(res.partition.blocks) == 2

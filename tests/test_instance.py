@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ashg.errors import ParseError, PreconditionError
 from ashg.instance import (AshgInstance, Partition, emit_instance,
                            emit_partition, is_blocking, iter_partitions,
                            normalize_connected, parse_instance,
                            parse_partition, partition_utility, utility)
+from ashg.treedecomp import read_td
 
 
 def triangle(w=1):
@@ -171,6 +172,33 @@ def test_parse_instance_errors():
         parse_instance("p ashg 2 2\ne 0 1 5\ne 1 0 3\n")
     with pytest.raises(ParseError):
         parse_instance("p ashg 2 1\ne 0 0 5\n")
+
+
+def test_parse_instance_non_integer_scale():
+    with pytest.raises(ParseError):
+        parse_instance("p ashg 2 1\ns scale x\ne 0 1 5\n")
+
+
+# lines of the instance, partition and .td formats with fields that are
+# integers, junk or missing
+_format_lines = st.tuples(
+    st.sampled_from(["p ashg", "s scale", "s td", "e", "b", "", "c"]),
+    st.lists(st.one_of(st.integers(-1, 4).map(str),
+                       st.sampled_from(["x", "1.5", "1e3"])), max_size=5),
+).map(lambda head_fields: " ".join((head_fields[0], *head_fields[1])))
+
+
+@settings(max_examples=500)
+@given(st.one_of(st.text(),
+                 st.lists(_format_lines, max_size=8).map("\n".join)))
+def test_parsers_raise_only_parse_error(text):
+    inst = AshgInstance(3, [(0, 1, 1)])
+    for parse in (parse_instance, lambda t: parse_partition(t, inst),
+                  lambda t: read_td(t, inst)):
+        try:
+            parse(text)
+        except ParseError:
+            pass
 
 
 @given(instances())

@@ -3,19 +3,17 @@ import random
 import pytest
 
 from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.qbf import (AnnotatedTd, Cnf, E3CnfFDnf, QbfEA, e3cnffdnf_to_ea,
-                      eval_bruteforce, fresh_primal_td, incidence_td_for,
-                      incidence_to_primal, qbf_to_cnf, sat_treewidth,
+from ashg.qbf import (Cnf, E3CnfFDnf, QbfEA, e3cnffdnf_to_ea, eval_bruteforce,
+                      fresh_primal_td, qbf_to_cnf, sat_treewidth,
                       split_to_3dnf, to_dimacs, to_qdimacs)
+from ashg.treedecomp import TreeDecomposition
 
 
-def run_chain(phi, use_carried_td=False):
+def run_chain(phi):
     """Full compilation pipeline verdict for an E3CnfFDnf formula."""
-    td = incidence_td_for(phi)
-    q, td = e3cnffdnf_to_ea(phi, td)
-    q3, td = split_to_3dnf(q, td)
-    primal = incidence_to_primal(td) if use_carried_td else fresh_primal_td(q3)
-    cnf, ctd = qbf_to_cnf(q3, primal)
+    q, _ = e3cnffdnf_to_ea(phi)
+    q3, _ = split_to_3dnf(q)
+    cnf, ctd = qbf_to_cnf(q3, fresh_primal_td(q3))
     sat, model = sat_treewidth(cnf, ctd)
     return sat
 
@@ -101,24 +99,17 @@ def test_to_ea_equisatisfiable_random():
 
 def test_split_fixpoint_on_3dnf():
     q = QbfEA((), (1, 2, 3), ((1, 2, 3),))
-    label = ("c", 0)
-    td = AnnotatedTd([{1, 2, 3, label}], [], {1, 2, 3},
-                     {label: (1, 2, 3)}, kind="incidence")
-    q3, _ = split_to_3dnf(q, td)
+    q3, _ = split_to_3dnf(q)
     assert q3.is_3dnf and len(q3.terms) == 1
     assert q3.y_vars == q.y_vars
 
 
 def test_split_width4_term():
     q = QbfEA((), (1, 2, 3, 4), ((1, 2, 3, 4),))
-    label = ("c", 0)
-    td = AnnotatedTd([{1, 2, 3, 4, label}], [], {1, 2, 3, 4},
-                     {label: (1, 2, 3, 4)}, kind="incidence")
-    q3, td3 = split_to_3dnf(q, td)
+    q3, _ = split_to_3dnf(q)
     assert q3.is_3dnf
     assert len(q3.terms) == 2
     assert len(q3.y_vars) == len(q.y_vars) + 1
-    assert td3.validate() is None
     assert eval_bruteforce(q3)[0] == eval_bruteforce(q)[0]
 
 
@@ -134,11 +125,8 @@ def test_split_random_wide_terms():
             picks = rng.sample(allv, rng.randint(2, min(6, len(allv))))
             terms.append(tuple(v if rng.random() < 0.5 else -v for v in picks))
         q = QbfEA(xs, ys, tuple(terms))
-        phi = E3CnfFDnf(xs, ys, (), tuple(terms))
-        td = incidence_td_for(phi)
-        q3, td3 = split_to_3dnf(q, td)
+        q3, _ = split_to_3dnf(q)
         assert q3.is_3dnf
-        assert td3.validate() is None
         assert eval_bruteforce(q3)[0] == eval_bruteforce(q)[0]
 
 
@@ -163,22 +151,20 @@ def test_qbf_to_cnf_simple_unsat():
 def test_qbf_to_cnf_rejects_wide_matrix():
     q = QbfEA((), (1, 2, 3, 4), ((1, 2, 3, 4),))
     with pytest.raises(PreconditionError):
-        qbf_to_cnf(q, incidence_to_primal(incidence_td_for(
-            E3CnfFDnf((), (1, 2, 3, 4), (), ((1, 2, 3, 4),)))))
+        qbf_to_cnf(q, fresh_primal_td(q))
 
 
 def test_sat_treewidth_basics():
-    td = AnnotatedTd([{1}], [], set(), kind="primal")
+    td = TreeDecomposition([{1}], [])
     assert sat_treewidth(Cnf([(1,), (-1,)], 1), td)[0] is False
-    sat, model = sat_treewidth(Cnf([], 0), AnnotatedTd([set()], [], set(),
-                                                       kind="primal"))
+    sat, model = sat_treewidth(Cnf([], 0), TreeDecomposition([set()], []))
     assert sat is True
     assert sat_treewidth(Cnf([(1, -2), (2,)], 2),
-                         AnnotatedTd([{1, 2}], [], set(), kind="primal"))[0]
+                         TreeDecomposition([{1, 2}], []))[0]
 
 
 def test_sat_treewidth_clause_not_covered():
-    td = AnnotatedTd([{1}, {2}], [(0, 1)], set(), kind="primal")
+    td = TreeDecomposition([{1}, {2}], [(0, 1)])
     with pytest.raises(PreconditionError):
         sat_treewidth(Cnf([(1, 2)], 2), td)
 
@@ -198,8 +184,7 @@ def test_sat_treewidth_random_3cnf():
         edges = [(a, b) for cl in clauses
                  for a in {abs(l) for l in cl} for b in {abs(l) for l in cl}
                  if a < b]
-        base = heuristic_decompose(LabelGraph(range(1, nv + 1), edges))
-        td = AnnotatedTd(base.bags, base.tree_edges(), set(), kind="primal")
+        td = heuristic_decompose(LabelGraph(range(1, nv + 1), edges))
         exhaustive = any(
             all(any((bits >> (abs(l) - 1) & 1) == (l > 0) for l in cl)
                 for cl in clauses)
@@ -218,42 +203,13 @@ def test_end_to_end_random():
         assert run_chain(phi) == eval_bruteforce(phi)[0]
 
 
-def test_end_to_end_carried_td():
-    # the carried decomposition keeps every clause variable of the closing
-    # term in every bag, so its cost grows steeply with the clause count;
-    # keep the formulas small here
-    rng = random.Random(4321)
-    for _ in range(15):
-        nx = rng.randint(0, 3)
-        ny = rng.randint(0, 3 - nx) if nx < 3 else 0
-        xs = tuple(range(1, nx + 1))
-        ys = tuple(range(nx + 1, nx + ny + 1))
-        cnf = []
-        if xs:
-            for _ in range(rng.randint(0, 2)):
-                picks = rng.sample(xs, min(len(xs), rng.randint(1, 2)))
-                cnf.append(tuple(v if rng.random() < 0.5 else -v
-                                 for v in picks))
-        allv = xs + ys
-        dnf = []
-        if allv:
-            for _ in range(rng.randint(1, 3)):
-                picks = rng.sample(allv, min(len(allv), rng.randint(1, 3)))
-                dnf.append(tuple(v if rng.random() < 0.5 else -v
-                                 for v in picks))
-        phi = E3CnfFDnf(xs, ys, tuple(cnf), tuple(dnf))
-        assert run_chain(phi, use_carried_td=True) == eval_bruteforce(phi)[0]
-
-
 def test_cnf_size_bound():
     rng = random.Random(55)
     for _ in range(40):
         phi = random_formula(rng, max_vars=8)
-        td = incidence_td_for(phi)
-        q, td = e3cnffdnf_to_ea(phi, td)
-        q3, td = split_to_3dnf(q, td)
-        primal = fresh_primal_td(q3)
-        cnf, ctd = qbf_to_cnf(q3, primal)
+        q, _ = e3cnffdnf_to_ea(phi)
+        q3, _ = split_to_3dnf(q)
+        cnf, ctd = qbf_to_cnf(q3, fresh_primal_td(q3))
         s = ctd.stats
         bound = 24 * s["sum_pow_univ"] * (s["t_exists"] + s["t_forall"] + 1)
         assert len(cnf.clauses) <= bound

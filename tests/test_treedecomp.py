@@ -163,3 +163,14 @@ def test_read_td_errors():
         read_td("s td 1 2 2\nb 1 1 3\n", inst)  # vertex out of range
     with pytest.raises(ParseError):
         read_td("s td 2 2 2\nb 1 1 2\nb 2 1 2\n1 1\n", inst)  # not a tree
+
+
+def test_read_td_non_integer_fields():
+    inst = path(2)
+    for bad in ("s td x 2 2\nb 1 1 2\n",  # non-integer header
+                "s td 1 2 2\nb x 1\n",  # non-integer bag id
+                "s td 1 2 2\nb 1 1 y\n",  # non-integer vertex
+                "s td 1 2 2\nb\n",  # bag without id
+                "s td 2 2 2\nb 1 1 2\nb 2 1 2\n1 x\n"):  # tree edge
+        with pytest.raises(ParseError):
+            read_td(bad, inst)

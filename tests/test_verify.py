@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+
+import ashg
 
 from ashg.errors import (PreconditionError, ResourceLimitError,
                          WrongAlgorithmError)
@@ -219,3 +224,26 @@ def test_oracle_equivalence_forests():
         assert res.verdict == base.verdict
         if res.verdict == UNSTABLE:
             assert is_blocking(inst, P, res.witness)
+
+
+def test_treewidth_witness_check_survives_optimize():
+    # the witness check must raise under python -O, which strips asserts
+    code = """
+import sys
+import ashg.verify as V
+from ashg.instance import AshgInstance, Partition
+if not sys.flags.optimize:
+    raise SystemExit("not optimized")
+V.is_blocking = lambda inst, P, X: False
+inst = AshgInstance(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+try:
+    V.verify_treewidth(inst, Partition.singletons(3))
+except RuntimeError:
+    raise SystemExit(0)
+raise SystemExit("no error raised")
+"""
+    src = os.path.dirname(os.path.dirname(ashg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
