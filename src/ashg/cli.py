@@ -181,8 +181,13 @@ def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
             res.stats)
     if not res.exists:
         sys.exit(1)
-    check = verify_kcore(inst, res.partition, k, cap=None) if k is not None \
-        else verify_bruteforce(inst, res.partition, cap=None)
+    try:
+        if k is not None:
+            check = verify_kcore(inst, res.partition, k, cap=None)
+        else:
+            check = verify_treewidth(inst, res.partition)
+    except ResourceLimitError as exc:
+        _fail(str(exc), 3)
     if not check.stable:
         _fail("internal: solver returned a partition that fails verification", 2)
     click.echo(emit_partition(res.partition), nl=False)
@@ -352,9 +357,12 @@ def _crossval_bdd(rng):
     dstar = rng.randint(0, 2)
     size = rng.randint(1, n)
     out = gen_bdd_csv(n, edges, dstar, size)
-    assert all(w in (-1, 1) for _, _, w in out.instance.edges)
+    case = ("bdd-csv", n, edges, dstar, size)
+    # the reduction promises weights in {-1, 1}; any other is a disagreement
+    if any(w not in (-1, 1) for _, _, w in out.instance.edges):
+        return False, case
     got = verify_treewidth(out.instance, out.partition).stable
-    return got == out.expected, ("bdd-csv", n, edges, dstar, size)
+    return got == out.expected, case
 
 
 def _crossval_clique(rng):

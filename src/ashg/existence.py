@@ -166,26 +166,10 @@ def encode_cs(inst, td=None, max_terms=2_000_000):
 def decode_partition(enc, inst, model):
     """Partition from a model's edge variables: connected components of
     the chosen edge set."""
-    chosen = {u: set() for u in inst.vertices()}
-    for (u, v), var in enc.edge_var.items():
-        if model.get(var, False):
-            chosen[u].add(v)
-            chosen[v].add(u)
-    blocks = []
-    remaining = set(inst.vertices())
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            a = stack.pop()
-            for b in chosen[a]:
-                if b not in comp:
-                    comp.add(b)
-                    stack.append(b)
-        blocks.append(comp)
-        remaining -= comp
-    return Partition(blocks, inst.n)
+    edges = [(u, v, 0) for (u, v), var in enc.edge_var.items()
+             if model.get(var, False)]
+    chosen = AshgInstance(inst.n, edges)
+    return Partition(chosen.components_of(inst.vertices()), inst.n)
 
 
 def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,

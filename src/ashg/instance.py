@@ -58,6 +58,18 @@ class AshgInstance:
     def vertices(self):
         return range(self.n)
 
+    def _component(self, members, start):
+        """Vertices of `members` reachable from `start` inside `members`."""
+        seen = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for v in self._adj[u]:
+                if v in members and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return seen
+
     def is_connected_set(self, members):
         """Whether `members` induces a connected subgraph.
 
@@ -67,32 +79,16 @@ class AshgInstance:
             return False
         members = set(members)
         start = next(iter(members))
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if v in members and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return seen == members
+        return len(self._component(members, start)) == len(members)
 
     def components_of(self, members):
         """Connected components of the subgraph induced by `members`."""
         members = set(members)
         comps = []
         while members:
-            start = min(members)
-            seen = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for v in self._adj[u]:
-                    if v in members and v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            comps.append(frozenset(seen))
-            members -= seen
+            comp = self._component(members, min(members))
+            comps.append(frozenset(comp))
+            members -= comp
         return comps
 
     def __eq__(self, other):

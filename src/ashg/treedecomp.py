@@ -1,4 +1,4 @@
-"""Tree decompositions: validation, elimination heuristics, nice form, PACE I/O.
+"""Tree decompositions: validation, elimination heuristics, PACE I/O.
 
 PACE 2017 ``.td`` files are 1-based; everything internal is 0-based, with
 conversion happening only in read_td/emit_td.
@@ -26,58 +26,6 @@ class TreeDecomposition:
 
     def __len__(self):
         return len(self.bags)
-
-
-class NiceTreeDecomposition:
-    """Rooted decomposition built from leaf/introduce/forget/join nodes.
-
-    Leaves and the root have empty bags; introduce/forget nodes change the
-    bag by exactly one vertex; join children repeat the parent bag.
-    """
-
-    LEAF = "leaf"
-    INTRODUCE = "introduce"
-    FORGET = "forget"
-    JOIN = "join"
-
-    def __init__(self):
-        self.kinds = []
-        self.vertex = []
-        self.bags = []
-        self.children = []
-        self.root = None
-
-    def _add(self, kind, vertex, bag, children):
-        self.kinds.append(kind)
-        self.vertex.append(vertex)
-        self.bags.append(frozenset(bag))
-        self.children.append(list(children))
-        return len(self.kinds) - 1
-
-    @property
-    def width(self):
-        return max((len(b) for b in self.bags), default=0) - 1
-
-    def __len__(self):
-        return len(self.kinds)
-
-    def postorder(self):
-        """Node ids, children before parents, without recursion."""
-        out = []
-        stack = [(self.root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                out.append(node)
-            else:
-                stack.append((node, True))
-                for c in self.children[node]:
-                    stack.append((c, False))
-        return out
-
-    def as_td(self):
-        edges = [(i, c) for i in range(len(self)) for c in self.children[i]]
-        return TreeDecomposition(self.bags, edges)
 
 
 def root_tree(tree, root):
@@ -258,58 +206,6 @@ def heuristic_decompose(inst, heuristic="min-fill", marked=frozenset()):
     return _from_elimination(steps)
 
 
-def make_nice(td, root=0):
-    """Convert a valid decomposition to nice form of the same width."""
-    nice = NiceTreeDecomposition()
-
-    def chain_up(below, frm, to):
-        """Forget frm-to, then introduce to-frm, returning the top node id."""
-        node = below
-        bag = set(frm)
-        for v in sorted(frm - to):
-            bag.discard(v)
-            node = nice._add(NiceTreeDecomposition.FORGET, v, bag, [node])
-        for v in sorted(to - frm):
-            bag.add(v)
-            node = nice._add(NiceTreeDecomposition.INTRODUCE, v, bag, [node])
-        return node
-
-    def leaf_chain(bag):
-        node = nice._add(NiceTreeDecomposition.LEAF, None, frozenset(), [])
-        return chain_up(node, frozenset(), bag)
-
-    # iterative post-order over the rooted input tree
-    parent = {root: None}
-    post = []
-    stack = [(root, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if expanded:
-            post.append(t)
-            continue
-        stack.append((t, True))
-        for s in sorted(td.tree[t]):
-            if s != parent.get(t, None) and s not in parent:
-                parent[s] = t
-                stack.append((s, False))
-
-    top = {}  # td node -> nice node with that bag on top
-    for t in post:
-        bag = td.bags[t]
-        kids = [s for s in sorted(td.tree[t]) if parent.get(s) == t]
-        if not kids:
-            top[t] = leaf_chain(bag)
-            continue
-        converted = [chain_up(top[s], td.bags[s], bag) for s in kids]
-        node = converted[0]
-        for other in converted[1:]:
-            node = nice._add(NiceTreeDecomposition.JOIN, None, bag, [node, other])
-        top[t] = node
-
-    nice.root = chain_up(top[root], td.bags[root], frozenset())
-    return nice
-
-
 def _ints(tokens, what, lineno):
     try:
         return [int(tok) for tok in tokens]
@@ -332,6 +228,9 @@ def read_td(text, inst):
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError("expected 's td <#bags> <max-bag-size> <n>'", lineno)
             header = _ints(parts[2:], "header fields", lineno)
+            if header[2] != inst.n:
+                raise ParseError("header declares %d vertices, instance has %d"
+                                 % (header[2], inst.n), lineno)
         elif parts[0] == "b":
             if header is None:
                 raise ParseError("bag before header", lineno)
@@ -345,7 +244,11 @@ def read_td(text, inst):
             for v in verts:
                 if not 1 <= v <= inst.n:
                     raise ParseError("bag references unknown vertex %d" % v, lineno)
-            bags[bid] = frozenset(v - 1 for v in verts)
+            bag = frozenset(v - 1 for v in verts)
+            if len(bag) > header[1]:
+                raise ParseError("bag %d holds %d vertices, header allows %d"
+                                 % (bid, len(bag), header[1]), lineno)
+            bags[bid] = bag
         else:
             if header is None:
                 raise ParseError("edge before header", lineno)

@@ -10,8 +10,7 @@ from itertools import combinations
 
 from ashg.errors import PreconditionError, ResourceLimitError, WrongAlgorithmError
 from ashg.instance import all_partition_utilities, is_blocking
-from ashg.treedecomp import (NiceTreeDecomposition, TreeDecomposition,
-                             heuristic_decompose, make_nice, validate_td)
+from ashg.treedecomp import heuristic_decompose, root_tree, validate_td
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -110,142 +109,130 @@ VALUE = "VALUE"
 EDGESET = "EDGESET"
 
 
-def _ensure_nice(inst, td):
-    if td is None:
-        td = heuristic_decompose(inst)
-    if isinstance(td, TreeDecomposition):
-        report = validate_td(inst, td)
-        if report is not None:
-            raise PreconditionError("invalid tree decomposition: %s" % report)
-        td = make_nice(td)
-    if not isinstance(td, NiceTreeDecomposition):
-        raise PreconditionError("expected a (nice) tree decomposition")
-    return td
-
-
 def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
-    """Signature DP over a nice tree decomposition.
+    """Signature DP over a tree decomposition rooted at bag 0.
 
     A state is (bag members chosen into X, per-member utility already gained
     from forgotten coalition members, whether X is nonempty so far).  VALUE
     keeps the gained amount as an integer, EDGESET as the set of edges to
-    forgotten members.
+    forgotten members.  The tables change one vertex at a time: a leaf
+    introduces its bag, each tree edge forgets what only the child holds
+    and then introduces what only the parent holds, a bag joins its
+    children in order, and the root forgets its bag.  Each state keeps
+    the first coalition found for it as nested pairs: (v, rest) when v is
+    taken, (left, right) at a join.
     """
     if mode not in (VALUE, EDGESET):
         raise ValueError("unknown mode %r" % mode)
-    nice = _ensure_nice(inst, td)
+    if td is None:
+        td = heuristic_decompose(inst)
+    report = validate_td(inst, td)
+    if report is not None:
+        raise PreconditionError("invalid tree decomposition: %s" % report)
     ut_p = all_partition_utilities(inst, P)
     bound = inst.max_degree * inst.w_max
-
     empty_gain = 0 if mode == VALUE else frozenset()
-
-    def gain_value(v, g):
-        if mode == VALUE:
-            return g
-        return sum(inst.weight(v, x) for x in g)
-
-    tables = {}
     total_states = 0
-    for node in nice.postorder():
-        kind = nice.kinds[node]
-        table = {}
 
-        def put(state, bp):
-            if state not in table:
-                table[state] = bp
-
-        if kind == NiceTreeDecomposition.LEAF:
-            put((frozenset(), (), False), ("leaf",))
-        elif kind == NiceTreeDecomposition.INTRODUCE:
-            v = nice.vertex[node]
-            child = nice.children[node][0]
-            for state, _ in tables[child].items():
-                put(state, ("skip", state))
-                in_x, gained, _ = state
-                new_gained = tuple(sorted(gained + ((v, empty_gain),)))
-                put((in_x | {v}, new_gained, True), ("take", state))
-        elif kind == NiceTreeDecomposition.FORGET:
-            v = nice.vertex[node]
-            child = nice.children[node][0]
-            for state, _ in tables[child].items():
-                in_x, gained, touched = state
-                if v not in in_x:
-                    put(state, ("skip", state))
-                    continue
-                gmap = dict(gained)
-                total = gain_value(v, gmap[v]) + sum(
-                    inst.weight(v, u) for u in in_x if u != v and inst.has_edge(v, u))
-                if total <= ut_p[v]:
-                    continue
-                del gmap[v]
-                for u in in_x:
-                    if u != v and inst.has_edge(v, u):
-                        if mode == VALUE:
-                            gmap[u] += inst.weight(v, u)
-                            if not -bound <= gmap[u] <= bound:
-                                raise RuntimeError(
-                                    "gained utility %d of vertex %d out of "
-                                    "bound %d" % (gmap[u], u, bound))
-                        else:
-                            gmap[u] |= {v}
-                new_state = (in_x - {v}, tuple(sorted(gmap.items())), touched)
-                put(new_state, ("forget", state))
-        else:  # join
-            left, right = nice.children[node]
-            by_inx = {}
-            for state in tables[right]:
-                by_inx.setdefault(state[0], []).append(state)
-            for ls, _ in tables[left].items():
-                in_x, lg, lt = ls
-                for rs in by_inx.get(in_x, ()):
-                    _, rg, rt = rs
-                    rmap = dict(rg)
-                    merged = []
-                    for v, g in lg:
-                        if mode == VALUE:
-                            mg = g + rmap[v]
-                            if not -bound <= mg <= bound:
-                                raise RuntimeError(
-                                    "gained utility %d of vertex %d out of "
-                                    "bound %d" % (mg, v, bound))
-                        else:
-                            mg = g | rmap[v]
-                        merged.append((v, mg))
-                    put((in_x, tuple(sorted(merged)), lt or rt), ("join", ls, rs))
-
+    def counted(table):
+        nonlocal total_states
         total_states += len(table)
         if total_states > max_states:
             raise ResourceLimitError("dp_states", max_states)
-        tables[node] = table
+        return table
 
-    for state, _ in tables[nice.root].items():
-        if state[2]:
-            witness = _reconstruct(nice, tables, state)
-            if not is_blocking(inst, P, witness):
-                raise RuntimeError("witness %r is not blocking"
-                                   % sorted(witness))
-            return VerificationResult(UNSTABLE, witness, {"states": total_states})
-    return VerificationResult(STABLE, stats={"states": total_states})
+    def bounded(v, g):
+        if not -bound <= g <= bound:
+            raise RuntimeError("gained utility %d of vertex %d out of "
+                               "bound %d" % (g, v, bound))
+        return g
 
+    def introduce(table, v):
+        out = {}
+        for state, coal in table.items():
+            out.setdefault(state, coal)
+            in_x, gained, _ = state
+            taken = tuple(sorted(gained + ((v, empty_gain),)))
+            out.setdefault((in_x | {v}, taken, True), (v, coal))
+        return counted(out)
 
-def _reconstruct(nice, tables, root_state):
-    X = set()
-    stack = [(nice.root, root_state)]
+    def forget(table, v):
+        out = {}
+        for state, coal in table.items():
+            in_x, gained, touched = state
+            if v not in in_x:
+                out.setdefault(state, coal)
+                continue
+            gmap = dict(gained)
+            g = gmap.pop(v)
+            if mode == EDGESET:
+                g = sum(inst.weight(v, x) for x in g)
+            nbrs = [u for u in in_x if u != v and inst.has_edge(v, u)]
+            if g + sum(inst.weight(v, u) for u in nbrs) <= ut_p[v]:
+                continue
+            for u in nbrs:
+                if mode == VALUE:
+                    gmap[u] = bounded(u, gmap[u] + inst.weight(v, u))
+                else:
+                    gmap[u] |= {v}
+            out.setdefault((in_x - {v}, tuple(sorted(gmap.items())), touched),
+                           coal)
+        return counted(out)
+
+    def join(left, right):
+        by_inx = {}
+        for state, coal in right.items():
+            by_inx.setdefault(state[0], []).append((state, coal))
+        out = {}
+        for (in_x, lg, lt), lcoal in left.items():
+            for (_, rg, rt), rcoal in by_inx.get(in_x, ()):
+                # both gains are sorted over the same members, in_x
+                if mode == VALUE:
+                    merged = tuple((v, bounded(v, g + h))
+                                   for (v, g), (_, h) in zip(lg, rg))
+                else:
+                    merged = tuple((v, g | h) for (v, g), (_, h) in zip(lg, rg))
+                out.setdefault((in_x, merged, lt or rt), (lcoal, rcoal))
+        return counted(out)
+
+    def up(table, frm, to):
+        for v in sorted(frm - to):
+            table = forget(table, v)
+        for v in sorted(to - frm):
+            table = introduce(table, v)
+        return table
+
+    parent, order = root_tree(td.tree, 0)
+    tops = {}  # bag -> table of its subtree, until its parent takes it
+    for t in reversed(order):
+        bag = td.bags[t]
+        table = None
+        for s in sorted(td.tree[t] - {parent[t]}):
+            lifted = up(tops.pop(s), td.bags[s], bag)
+            table = lifted if table is None else join(table, lifted)
+        if table is None:
+            table = up(counted({(frozenset(), (), False): None}),
+                       frozenset(), bag)
+        tops[t] = table
+    root = up(tops.pop(0), td.bags[0], frozenset())
+
+    coal = root.get((frozenset(), (), True))
+    if coal is None:
+        return VerificationResult(STABLE, stats={"states": total_states})
+    witness = set()
+    stack = [coal]
     while stack:
-        node, state = stack.pop()
-        bp = tables[node][state]
-        kind = bp[0]
-        if kind == "leaf":
-            continue
-        if kind == "take":
-            X.add(nice.vertex[node])
-            stack.append((nice.children[node][0], bp[1]))
-        elif kind in ("skip", "forget"):
-            stack.append((nice.children[node][0], bp[1]))
-        else:  # join
-            stack.append((nice.children[node][0], bp[1]))
-            stack.append((nice.children[node][1], bp[2]))
-    return frozenset(X)
+        head, rest = stack.pop()
+        if isinstance(head, int):
+            witness.add(head)
+        elif head is not None:
+            stack.append(head)
+        if rest is not None:
+            stack.append(rest)
+    witness = frozenset(witness)
+    if not is_blocking(inst, P, witness):
+        raise RuntimeError("witness %r is not blocking" % sorted(witness))
+    return VerificationResult(UNSTABLE, witness, {"states": total_states})
 
 
 def min_vertex_cover(inst):

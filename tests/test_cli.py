@@ -1,11 +1,20 @@
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import ashg
+from ashg import cli
 from ashg.cli import main
-from ashg.instance import AshgInstance, emit_instance, parse_instance, parse_partition
+from ashg.errors import ResourceLimitError
+from ashg.generators import GenResult
+from ashg.instance import (AshgInstance, Partition, emit_instance,
+                           parse_instance, parse_partition)
 from ashg.treedecomp import read_td, validate_td
+from ashg.verify import verify_tree
 
 TRIANGLE = "p ashg 3 3\ne 0 1 1\ne 1 2 1\ne 0 2 1\n"
 SINGLETONS3 = "0\n1\n2\n"
@@ -143,6 +152,33 @@ def test_solve_qbf_exists_prints_partition(runner, tmp_path):
     inst = parse_instance("p ashg 2 1\ne 0 1 1\n")
     P = parse_partition(result.stdout, inst)
     assert P.blocks == (frozenset({0, 1}),)
+
+
+def test_solve_certifies_long_path_quickly(tmp_path):
+    # brute-force certification would enumerate 2^30 coalitions here;
+    # weights -2..2 as on the benchmark's weighted paths
+    rng = random.Random(30)
+    inst = AshgInstance(30, [(i, i + 1, rng.randint(-2, 2)) for i in range(29)])
+    g = tmp_path / "path.graph"
+    write(g, emit_instance(inst))
+    src = os.path.dirname(os.path.dirname(ashg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-m", "ashg.cli", "solve", str(g)],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    P = parse_partition(result.stdout, inst)
+    assert verify_tree(inst, P).stable
+
+
+def test_solve_certification_cap_exit_3(runner, tmp_path, monkeypatch):
+    def capped(inst, P):
+        raise ResourceLimitError("dp_states", 1)
+
+    monkeypatch.setattr(cli, "verify_treewidth", capped)
+    g = tmp_path / "edge.graph"
+    write(g, "p ashg 2 1\ne 0 1 1\n")
+    result = runner.invoke(main, ["solve", str(g)])
+    assert result.exit_code == 3, result.output
 
 
 def test_solve_brute_gadget_not_exists(runner, tmp_path):
@@ -285,6 +321,18 @@ def test_crossval_small_run(runner):
     assert result.exit_code == 0
     for name in ("partition", "binpacking", "bdd", "clique"):
         assert "%-12s 5/5 passed" % name in result.output
+
+
+def test_crossval_bdd_reports_bad_weight(monkeypatch):
+    # the verifier agrees with expected, so only the weight check can object
+    def weight_two(n, edges, dstar, size):
+        return GenResult(AshgInstance(2, [(0, 1, 2)]), Partition.singletons(2),
+                         expected=False)
+
+    monkeypatch.setattr(cli, "gen_bdd_csv", weight_two)
+    ok, case = cli._crossval_bdd(random.Random(0))
+    assert not ok
+    assert case[0] == "bdd-csv"
 
 
 def test_crossval_deterministic(runner):

@@ -3,9 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from ashg.errors import ParseError
 from ashg.instance import AshgInstance
-from ashg.treedecomp import (NiceTreeDecomposition, TreeDecomposition, emit_td,
-                             heuristic_decompose, make_nice, read_td,
-                             validate_td)
+from ashg.treedecomp import (TreeDecomposition, emit_td, heuristic_decompose,
+                             read_td, validate_td)
 
 
 def cycle(n):
@@ -98,53 +97,6 @@ def test_heuristics_always_valid(inst):
         assert td.width <= inst.n - 1
 
 
-def test_make_nice_preserves_width():
-    inst = cycle(5)
-    td = heuristic_decompose(inst, heuristic="min-degree")
-    nice = make_nice(td)
-    assert nice.width == td.width
-    assert validate_td(inst, nice.as_td()) is None
-
-
-def test_make_nice_structure():
-    inst = k4()
-    nice = make_nice(heuristic_decompose(inst))
-    assert nice.bags[nice.root] == frozenset()
-    order = nice.postorder()
-    assert order[-1] == nice.root
-    assert set(order) == set(range(len(nice)))
-    for i in range(len(nice)):
-        kind = nice.kinds[i]
-        kids = nice.children[i]
-        if kind == NiceTreeDecomposition.LEAF:
-            assert not kids and nice.bags[i] == frozenset()
-        elif kind == NiceTreeDecomposition.INTRODUCE:
-            assert len(kids) == 1
-            assert nice.bags[i] == nice.bags[kids[0]] | {nice.vertex[i]}
-            assert nice.vertex[i] not in nice.bags[kids[0]]
-        elif kind == NiceTreeDecomposition.FORGET:
-            assert len(kids) == 1
-            assert nice.bags[i] == nice.bags[kids[0]] - {nice.vertex[i]}
-            assert nice.vertex[i] in nice.bags[kids[0]]
-        else:
-            assert kind == NiceTreeDecomposition.JOIN
-            assert len(kids) == 2
-            assert all(nice.bags[c] == nice.bags[i] for c in kids)
-
-
-@settings(max_examples=40)
-@given(instances(max_n=9))
-def test_make_nice_random(inst):
-    td = heuristic_decompose(inst, heuristic="min-degree")
-    nice = make_nice(td)
-    assert nice.width == td.width
-    assert validate_td(inst, nice.as_td()) is None
-    # every vertex is introduced and forgotten exactly once per occurrence run
-    forgets = [nice.vertex[i] for i in range(len(nice))
-               if nice.kinds[i] == NiceTreeDecomposition.FORGET]
-    assert sorted(set(forgets)) == list(range(inst.n))
-
-
 def test_pace_round_trip():
     inst = cycle(5)
     td = heuristic_decompose(inst)
@@ -172,5 +124,16 @@ def test_read_td_non_integer_fields():
                 "s td 1 2 2\nb 1 1 y\n",  # non-integer vertex
                 "s td 1 2 2\nb\n",  # bag without id
                 "s td 2 2 2\nb 1 1 2\nb 2 1 2\n1 x\n"):  # tree edge
+        with pytest.raises(ParseError):
+            read_td(bad, inst)
+
+
+def test_read_td_checks_header_sizes():
+    inst = path(3)
+    assert read_td("s td 1 3 3\nb 1 1 2 3\n", inst).width == 2
+    for bad in ("s td 1 1 99\nb 1 1 2 3\n",  # both fields wrong
+                "s td 1 2 3\nb 1 1 2 3\n",  # bag larger than max-bag-size
+                "s td 1 3 4\nb 1 1 2 3\n",  # vertex count is not n
+                "s td 1 3 2\nb 1 1 2 3\n"):
         with pytest.raises(ParseError):
             read_td(bad, inst)

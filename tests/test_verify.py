@@ -10,7 +10,7 @@ import ashg
 from ashg.errors import (PreconditionError, ResourceLimitError,
                          WrongAlgorithmError)
 from ashg.instance import AshgInstance, Partition, is_blocking
-from ashg.treedecomp import heuristic_decompose, make_nice
+from ashg.treedecomp import TreeDecomposition, heuristic_decompose
 from ashg.verify import (EDGESET, STABLE, UNSTABLE, VALUE, min_vertex_cover,
                          verify_bruteforce, verify_tree, verify_treewidth,
                          verify_vertexcover)
@@ -124,17 +124,41 @@ def test_treewidth_all_negative_stable():
                                 mode=mode).stable
 
 
-def test_treewidth_accepts_raw_and_nice_td():
+def test_treewidth_accepts_given_td():
     inst = triangle()
     P = Partition.singletons(3)
     td = heuristic_decompose(inst)
     assert verify_treewidth(inst, P, td=td).verdict == UNSTABLE
-    assert verify_treewidth(inst, P, td=make_nice(td)).verdict == UNSTABLE
+
+
+# K4 with mixed weights (a path of bags) and an 8-vertex game on a
+# decomposition whose root joins three children; the last witness takes
+# vertices from two joined branches
+_K4 = AshgInstance(4, [(0, 1, 2), (0, 2, -1), (0, 3, 1), (1, 2, 1), (1, 3, -2),
+                       (2, 3, 1)])
+_G8 = AshgInstance(8, [(0, 1, 2), (1, 2, -1), (2, 3, 3), (0, 3, 1), (3, 4, 2),
+                       (4, 5, -2), (5, 6, 3), (3, 6, 1), (1, 7, 2), (0, 7, -1)])
+_G8_TD = TreeDecomposition([{0, 1, 3}, {0, 1, 7}, {1, 2, 3}, {3, 4, 6}, {4, 5, 6}],
+                           [(0, 1), (0, 2), (0, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("inst, td, blocks, mode, witness, states", [
+    (_K4, None, None, VALUE, {0, 1}, 58),
+    (_K4, None, None, EDGESET, {0, 1}, 61),
+    (_G8, _G8_TD, None, VALUE, {5, 6}, 267),
+    (_G8, _G8_TD, None, EDGESET, {5, 6}, 292),
+    (_G8, _G8_TD, [{0, 1, 2, 3, 7}, {4}, {5, 6}], VALUE, {2, 3, 4}, 165),
+    (_G8, _G8_TD, [{0, 1, 2, 3, 7}, {4}, {5, 6}], EDGESET, {2, 3, 4}, 165),
+])
+def test_treewidth_pinned_states_and_witness(inst, td, blocks, mode, witness,
+                                             states):
+    P = Partition.singletons(inst.n) if blocks is None else Partition(blocks, inst.n)
+    res = verify_treewidth(inst, P, td=td, mode=mode)
+    assert res.witness == witness
+    assert res.stats == {"states": states}
 
 
 def test_treewidth_rejects_invalid_td():
-    from ashg.treedecomp import TreeDecomposition
-
     inst = triangle()
     bad = TreeDecomposition([{0, 1}], [])
     with pytest.raises(PreconditionError):
