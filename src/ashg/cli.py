@@ -144,7 +144,7 @@ def verify(instance_path, partition_path, algo, k, td_path, mode, cap,
 @click.option("--emit-dimacs", type=click.Path(), default=None,
               help="Write the compiled CNF (qbf only).")
 @click.option("--emit-qdimacs", type=click.Path(), default=None,
-              help="Write the split exists-forall formula (qbf only).")
+              help="Write the split formula: clauses, then terms (qbf only).")
 def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
           emit_dimacs, emit_qdimacs):
     """Decide stable-partition existence; exit 0 prints a partition."""

@@ -4,8 +4,9 @@ The graph is completed so every bag of a tree decomposition is a clique
 (the added edges get weight 0, which changes neither utilities nor
 stability).  A quantified formula then asks for an edge set encoding a
 partition (transitivity inside every bag) such that no non-empty vertex
-set is blocking, and the formula is decided through the exists-forall
-compilation in ashg.qbf.
+set is blocking.  The formula is decided through the compilation in
+ashg.qbf, which carries the transitivity clauses alongside the universal
+matrix.
 """
 
 from dataclasses import dataclass, field
@@ -13,7 +14,7 @@ from itertools import combinations
 
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.instance import AshgInstance, Partition, iter_partitions
-from ashg.qbf import (E3CnfFDnf, e3cnffdnf_to_ea, fresh_primal_td, qbf_to_cnf,
+from ashg.qbf import (E3CnfFDnf, QbfEA, fresh_primal_td, qbf_to_cnf,
                       sat_treewidth, split_to_3dnf)
 from ashg.treedecomp import heuristic_decompose, validate_td
 from ashg.verify import verify_bruteforce
@@ -178,11 +179,12 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
 
     encode_cs builds the formula over the bag-completed graph of td, or,
     without td, of a decomposition of the graph of the non-zero edges.
-    The formula is rewritten to exists-forall shape and split to 3-DNF;
-    the 3-DNF's primal graph is decomposed afresh, and the formula is
-    compiled along that decomposition to a CNF whose satisfiability
-    sat_treewidth decides.  collect, when a dict, receives the
-    intermediate artifacts.
+    Its terms are split to 3-DNF, with the transitivity clauses carried
+    alongside; the primal graph of terms and clauses is decomposed
+    afresh, and the formula is compiled along that decomposition to a CNF,
+    the clauses included, whose satisfiability sat_treewidth decides.
+    collect, when a dict, receives the intermediate artifacts (ea is the
+    unsplit formula with its clauses).
     """
     if inst.n == 0:
         return CsResult(EXISTS, Partition([], 0), method="qbf")
@@ -191,7 +193,8 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
         # the decomposition need only cover the non-zero edges
         inst = AshgInstance(inst.n, [e for e in inst.edges if e[2]])
     enc = encode_cs(inst, td, max_terms=max_terms)
-    q, _ = e3cnffdnf_to_ea(enc.formula)
+    phi = enc.formula
+    q = QbfEA(phi.x_vars, phi.y_vars, phi.dnf, phi.cnf)
     q3, _ = split_to_3dnf(q)
     cnf, psitd = qbf_to_cnf(q3, fresh_primal_td(q3))
     if collect is not None:

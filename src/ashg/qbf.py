@@ -2,11 +2,11 @@
 to plain CNF over a tree decomposition.
 
 Variables are positive integers, literals are signed integers.  The
-pipeline is: a two-level formula (existential 3-CNF over x, universal DNF
-over x and y) is rewritten to pure exists-forall shape, its DNF terms are
-split to width 3, and the result is compiled along a decomposition of its
-primal graph to a CNF whose satisfiability is decided by a tree
-decomposition DP.
+pipeline takes a two-level formula, exists x: CNF(x) and forall y:
+DNF(x, y).  Its DNF terms are split to width 3, and the result is
+compiled along a decomposition of its primal graph to a CNF whose
+satisfiability is decided by a tree decomposition DP.  The x-only clauses
+ride along untouched and are conjoined to the compiled CNF.
 """
 
 from dataclasses import dataclass
@@ -16,16 +16,6 @@ from operator import itemgetter
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.treedecomp import (LabelGraph, TreeDecomposition,
                              heuristic_decompose, root_tree)
-
-
-def _check_term(lits):
-    """The term without repeated literals, in its given order; None when
-    it is contradictory, hence never true."""
-    lits = tuple(dict.fromkeys(lits))
-    for l in lits:
-        if -l in lits:
-            return None
-    return lits
 
 
 @dataclass(frozen=True)
@@ -53,10 +43,16 @@ class E3CnfFDnf:
 
 @dataclass(frozen=True)
 class QbfEA:
-    """exists x forall y: DNF(x, y)."""
+    """exists x: CNF(x) and forall y: DNF(x, y)."""
     x_vars: tuple
     y_vars: tuple
     terms: tuple
+    cnf: tuple = ()  # clauses, literals over x_vars only
+
+    def __post_init__(self):
+        xs = set(self.x_vars)
+        if any(abs(l) not in xs for cl in self.cnf for l in cl):
+            raise ValueError("CNF literal over a non-existential variable")
 
     @property
     def is_3dnf(self):
@@ -95,10 +91,8 @@ def eval_bruteforce(q, cap=24):
     Returns (satisfiable, witness) where witness maps each existential
     variable to a bool when satisfiable.
     """
-    if isinstance(q, E3CnfFDnf):
-        xs, ys, cnf, terms = q.x_vars, q.y_vars, q.cnf, q.dnf
-    else:
-        xs, ys, cnf, terms = q.x_vars, q.y_vars, (), q.terms
+    xs, ys, cnf = q.x_vars, q.y_vars, q.cnf
+    terms = q.dnf if isinstance(q, E3CnfFDnf) else q.terms
     if len(xs) + len(ys) > cap:
         raise ResourceLimitError("qbf_bruteforce_vars", cap)
 
@@ -133,40 +127,6 @@ def eval_bruteforce(q, cap=24):
     return False, None
 
 
-def e3cnffdnf_to_ea(phi):
-    """Push the existential CNF into the universal matrix.
-
-    One new universal variable per CNF clause plus one (y_C) guarding the
-    original DNF terms; a final all-negative term covers the case where no
-    new variable is raised.  Equisatisfiable with the input.  Returns
-    (formula, None), the pair split_to_3dnf returns too, which the
-    benchmark's size counters unpack.
-    """
-    nxt = _next_var(phi.x_vars, phi.y_vars)
-    clause_var = {}
-    for i in range(len(phi.cnf)):
-        clause_var[i] = nxt
-        nxt += 1
-    y_c = nxt
-    nxt += 1
-
-    new_terms = []
-    for i, cl in enumerate(phi.cnf):
-        for l in cl:
-            t = _check_term((clause_var[i], l))
-            if t is not None:
-                new_terms.append(t)
-    for t in phi.dnf:
-        g = _check_term((y_c,) + t)
-        if g is not None:
-            new_terms.append(g)
-    chi = tuple(sorted(-v for v in clause_var.values())) + (-y_c,)
-    new_terms.append(chi)
-
-    y_vars = tuple(phi.y_vars) + tuple(clause_var[i] for i in range(len(phi.cnf))) + (y_c,)
-    return QbfEA(tuple(phi.x_vars), y_vars, tuple(new_terms)), None
-
-
 def split_to_3dnf(q):
     """Split every DNF term wider than 3 into terms of at most 3 literals
     joined by fresh universal variables, along a trie of the terms'
@@ -177,7 +137,9 @@ def split_to_3dnf(q):
     the remainders sharing their first literal are factored out the same
     way.  Each step is sound because z occurs positively once and
     negatively only in its group: forall z. (A and z) or (-z and B1) or
-    ... or O equals (A and (B1 or ...)) or O.  Returns (formula, None).
+    ... or O equals (A and (B1 or ...)) or O.  The clauses pass through
+    untouched.  Returns (formula, None), a pair the benchmark's size
+    counters unpack.
     """
     nxt = _next_var(q.x_vars, q.y_vars)
     first = nxt
@@ -200,16 +162,17 @@ def split_to_3dnf(q):
 
     factor((), q.terms)
     return QbfEA(tuple(q.x_vars), tuple(q.y_vars) + tuple(range(first, nxt)),
-                 tuple(out)), None
+                 tuple(out), q.cnf), None
 
 
 def fresh_primal_td(q, heuristic="min-degree"):
     """Elimination-order decomposition of the primal graph of a 3-DNF
-    matrix.  qbf_to_cnf pays 2^(universal variables) per bag, so the
-    min-degree order eliminates first the variable with the fewest
-    universal neighbours, then the one of lowest degree."""
+    matrix and its clauses, each of which is a clique of the graph.
+    qbf_to_cnf pays 2^(universal variables) per bag, so the min-degree
+    order eliminates first the variable with the fewest universal
+    neighbours, then the one of lowest degree."""
     variables = sorted(set(q.x_vars) | set(q.y_vars))
-    edges = [e for t in q.terms
+    edges = [e for t in q.terms + q.cnf
              for e in combinations(sorted(set(map(abs, t))), 2)]
     graph = LabelGraph(variables, edges)
     td = heuristic_decompose(graph, heuristic=heuristic, marked=q.y_vars)
@@ -217,9 +180,11 @@ def fresh_primal_td(q, heuristic="min-degree"):
 
 
 def qbf_to_cnf(q, td):
-    """Compile exists-forall 3-DNF into an equisatisfiable CNF.
+    """Compile exists x: CNF(x) and forall y: 3-DNF(x, y) into an
+    equisatisfiable CNF.
 
-    td must describe the primal graph of q's matrix.  The compile walks
+    td must describe the primal graph of q's terms and clauses.  The
+    compile walks
     td rooted at its last bag, the root of an elimination-order
     decomposition.  Per bag B and per assignment sigma to B's universal
     variables, z_(B,sigma) says that sigma extends to an assignment of
@@ -232,7 +197,11 @@ def qbf_to_cnf(q, td):
     still holds all of it, and forgetting a universal variable ORs the
     two entries that differ in it.  The parent ANDs its children.  The
     formula is satisfiable iff no falsifying extension exists at the
-    root.
+    root.  The gates are functions of the x, so for every x the compiled
+    clauses are satisfiable exactly when forall y: DNF(x, y) holds, and
+    q's clauses are appended as they are.  Each lies in a bag of td, and
+    every bag of the CNF's decomposition keeps its bag's existential
+    variables, so the clauses fit the decomposition too.
 
     The returned decomposition of the CNF has a bag per bag of td,
     holding the gates built on the way up from its children, except that
@@ -286,6 +255,7 @@ def qbf_to_cnf(q, td):
         c.clauses.append(())  # an empty assignment falsifies every term
     elif z_root != _FALSE:
         c.clauses.append((-z_root,))
+    c.clauses.extend(q.cnf)
 
     cnf = Cnf(c.clauses, c.nxt - 1)
     index = {t: i for i, t in enumerate(out_bags)}
@@ -723,14 +693,17 @@ def to_dimacs(cnf):
 
 
 def to_qdimacs(q):
-    """Prenex exists-forall DNF as QDIMACS (matrix listed as terms)."""
+    """Prenex exists-forall formula in QDIMACS layout: the clauses over x
+    come first, then the DNF terms, one per line.  When there are clauses,
+    a leading comment line "c clauses K" gives their number K."""
     nv = max([0] + [abs(l) for t in q.terms for l in t]
              + list(q.x_vars) + list(q.y_vars))
-    lines = ["p cnf %d %d" % (nv, len(q.terms))]
+    lines = ["c clauses %d" % len(q.cnf)] if q.cnf else []
+    lines.append("p cnf %d %d" % (nv, len(q.cnf) + len(q.terms)))
     if q.x_vars:
         lines.append("e " + " ".join(str(v) for v in q.x_vars) + " 0")
     if q.y_vars:
         lines.append("a " + " ".join(str(v) for v in q.y_vars) + " 0")
-    for t in q.terms:
+    for t in q.cnf + q.terms:
         lines.append(" ".join(str(l) for l in t) + " 0")
     return "\n".join(lines) + "\n"

@@ -161,16 +161,15 @@ def test_acceptance_4_qbf_engine():
     import sys
 
     sys.path.insert(0, "tests")
-    from test_qbf import random_formula, run_chain
-    from ashg.qbf import (e3cnffdnf_to_ea, fresh_primal_td, qbf_to_cnf,
-                          sat_treewidth, split_to_3dnf)
+    from test_qbf import carry, random_formula
+    from ashg.qbf import (fresh_primal_td, qbf_to_cnf, sat_treewidth,
+                          split_to_3dnf)
 
     start = time.time()
     rng = random.Random(777)
     for _ in range(500):
         phi = random_formula(rng, max_vars=10)
-        q, _ = e3cnffdnf_to_ea(phi)
-        q3, _ = split_to_3dnf(q)
+        q3, _ = split_to_3dnf(carry(phi))
         cnf, ctd = qbf_to_cnf(q3, fresh_primal_td(q3))
         s = ctd.stats
         bound = 24 * s["sum_pow_univ"] * (s["t_exists"] + s["t_forall"] + 1)

@@ -221,6 +221,20 @@ def test_solve_emits_formula_files(runner, tmp_path):
     assert text.splitlines()[1].startswith("e ")
 
 
+def test_solve_qdimacs_keeps_transitivity_clauses(runner, tmp_path):
+    g = tmp_path / "tri.graph"
+    write(g, TRIANGLE)
+    qdimacs = tmp_path / "out.qdimacs"
+    result = runner.invoke(main, ["solve", str(g),
+                                  "--emit-qdimacs", str(qdimacs)])
+    assert result.exit_code == 0
+    lines = qdimacs.read_text().splitlines()
+    # x_01 = 1, x_02 = 2, x_12 = 3: one clause per middle vertex
+    assert lines[0] == "c clauses 3"
+    assert lines[2] == "e 1 2 3 0"
+    assert lines[4:7] == ["-1 -2 3 0", "-1 -3 2 0", "-2 -3 1 0"]
+
+
 def test_solve_brute_cap(runner, tmp_path):
     inst = AshgInstance(12, [])
     g = tmp_path / "big.graph"

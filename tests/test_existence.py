@@ -151,6 +151,25 @@ def test_solve_cs_collect_artifacts():
     assert collect["dnf3"].is_3dnf
 
 
+def test_solve_cs_k4_layer_counts():
+    # the roadmap K4 game; the clauses ride beside the compiled CNF, so the
+    # universal variables are the four y plus the 3-DNF split variables
+    inst = AshgInstance(4, [(0, 1, 2), (0, 2, -1), (0, 3, 1), (1, 2, 1),
+                            (1, 3, -2), (2, 3, 1)])
+    collect = {}
+    assert solve_cs(inst, collect=collect).verdict == EXISTS
+    phi, q3 = collect["encoding"].formula, collect["dnf3"]
+    assert collect["ea"].cnf == q3.cnf == phi.cnf
+    assert q3.y_vars[:4] == phi.y_vars
+    split = q3.y_vars[4:]
+    assert min(split) > max(phi.x_vars + phi.y_vars)
+    assert sum(1 for t in q3.terms for l in t if l in split) == len(split)
+    stats = collect["cnf_td"].stats
+    assert len(collect["cnf"].clauses) == 442
+    assert stats["t_forall"] == 5
+    assert stats["sum_pow_univ"] == 924
+
+
 def test_solve_cs_matches_bruteforce_small():
     rng = random.Random(41)
     seen_not_exists = False

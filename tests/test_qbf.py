@@ -3,16 +3,20 @@ import random
 import pytest
 
 from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.qbf import (Cnf, E3CnfFDnf, QbfEA, e3cnffdnf_to_ea, eval_bruteforce,
+from ashg.qbf import (Cnf, E3CnfFDnf, QbfEA, eval_bruteforce,
                       fresh_primal_td, qbf_to_cnf, sat_treewidth,
                       split_to_3dnf, to_dimacs, to_qdimacs)
 from ashg.treedecomp import TreeDecomposition
 
 
+def carry(phi):
+    """The E3CnfFDnf formula with its clauses carried beside its terms."""
+    return QbfEA(phi.x_vars, phi.y_vars, phi.dnf, phi.cnf)
+
+
 def run_chain(phi):
     """Full compilation pipeline verdict for an E3CnfFDnf formula."""
-    q, _ = e3cnffdnf_to_ea(phi)
-    q3, _ = split_to_3dnf(q)
+    q3, _ = split_to_3dnf(carry(phi))
     cnf, ctd = qbf_to_cnf(q3, fresh_primal_td(q3))
     sat, model = sat_treewidth(cnf, ctd)
     return sat
@@ -63,38 +67,6 @@ def test_eval_bruteforce_cap():
     xs = tuple(range(1, 30))
     with pytest.raises(ResourceLimitError):
         eval_bruteforce(E3CnfFDnf(xs, (), (), ((1,),)), cap=24)
-
-
-def test_to_ea_single_guarded_term():
-    phi = E3CnfFDnf((), (1,), (), ((1,),))
-    q, _ = e3cnffdnf_to_ea(phi)
-    assert eval_bruteforce(q)[0] is False
-    # one guarded term plus the all-negative closing term
-    assert len(q.terms) == 2
-    assert len(q.y_vars) == 2  # y_1 and the guard
-
-
-def test_to_ea_trivial_sat():
-    phi = E3CnfFDnf((1,), (), (), ((1,),))
-    q, _ = e3cnffdnf_to_ea(phi)
-    assert eval_bruteforce(q)[0] is True
-
-
-def test_to_ea_term_count():
-    # clause sizes 3 and 2, two dnf terms: 5 + 2 + 1 terms, k'+1 new universals
-    phi = E3CnfFDnf((1, 2, 3), (4,), ((1, 2, 3), (-1, -2)),
-                    ((1, 4), (-3, -4)))
-    q, _ = e3cnffdnf_to_ea(phi)
-    assert len(q.terms) == 5 + 2 + 1
-    assert len(q.y_vars) == len(phi.y_vars) + len(phi.cnf) + 1
-
-
-def test_to_ea_equisatisfiable_random():
-    rng = random.Random(31)
-    for _ in range(120):
-        phi = random_formula(rng, max_vars=7)
-        q, _ = e3cnffdnf_to_ea(phi)
-        assert eval_bruteforce(q)[0] == eval_bruteforce(phi)[0]
 
 
 def test_split_fixpoint_on_3dnf():
@@ -207,12 +179,35 @@ def test_cnf_size_bound():
     rng = random.Random(55)
     for _ in range(40):
         phi = random_formula(rng, max_vars=8)
-        q, _ = e3cnffdnf_to_ea(phi)
-        q3, _ = split_to_3dnf(q)
+        q3, _ = split_to_3dnf(carry(phi))
         cnf, ctd = qbf_to_cnf(q3, fresh_primal_td(q3))
         s = ctd.stats
         bound = 24 * s["sum_pow_univ"] * (s["t_exists"] + s["t_forall"] + 1)
         assert len(cnf.clauses) <= bound
+
+
+def test_carried_clause_decides_the_verdict():
+    # exists x1: (-x1) and forall (): (x1) is false only through the clause
+    phi = E3CnfFDnf((1,), (), ((-1,),), ((1,),))
+    assert eval_bruteforce(phi)[0] is False
+    assert eval_bruteforce(carry(phi))[0] is False
+    assert run_chain(phi) is False
+
+
+def test_clause_variables_sharing_no_term_get_a_bag():
+    # x1 and x2 share no term: only the clause's clique puts them in one bag
+    phi = E3CnfFDnf((1, 2), (3,), ((-1, -2),), ((1, 3), (1, -3), (2,)))
+    assert run_chain(phi) is eval_bruteforce(phi)[0] is True
+    q3, _ = split_to_3dnf(carry(phi))
+    assert any({1, 2} <= b for b in fresh_primal_td(q3).bags)
+
+
+def test_split_carries_clauses():
+    q = QbfEA((1,), (2, 3, 4), ((1, 2, 3, 4),), ((-1,),))
+    q3, _ = split_to_3dnf(q)
+    assert q3.cnf == q.cnf
+    with pytest.raises(ValueError):
+        QbfEA((1,), (2,), (), ((2,),))  # clause over a universal variable
 
 
 def test_to_dimacs():
@@ -225,3 +220,8 @@ def test_to_qdimacs():
     text = to_qdimacs(q)
     assert text.splitlines() == ["p cnf 2 2", "e 1 0", "a 2 0",
                                  "1 2 0", "1 -2 0"]
+    # carried clauses come first, counted in a leading comment
+    q = QbfEA((1, 2), (3,), ((1, 3),), ((-1, 2), (1,)))
+    assert to_qdimacs(q).splitlines() == [
+        "c clauses 2", "p cnf 3 3", "e 1 2 0", "a 3 0",
+        "-1 2 0", "1 0", "1 3 0"]
