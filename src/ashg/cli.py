@@ -16,14 +16,14 @@ import click
 
 from ashg.errors import (AshgError, ParseError, PreconditionError,
                          ResourceLimitError, WrongAlgorithmError)
-from ashg.existence import solve_cs, solve_cs_bruteforce
+from ashg.existence import EXISTS, CsResult, solve_cs, solve_cs_bruteforce
 from ashg.generators import (gen_33sat_cs, gen_3col_kcs, gen_bdd_csv,
                              gen_binpacking_csv, gen_clique_kcsv,
                              gen_eapartition_cs, gen_gadget,
                              gen_partition_csv, coloring_partition_3col)
 from ashg.instance import (emit_instance, emit_partition, parse_instance,
                            parse_partition)
-from ashg.kcore import greedy_2core, solve_kcs_bruteforce, verify_kcore
+from ashg.kcore import greedy_2core, verify_kcore
 from ashg.qbf import to_dimacs, to_qdimacs
 from ashg.treedecomp import emit_td, heuristic_decompose, read_td
 from ashg.verify import (EDGESET, VALUE, verify_bruteforce, verify_tree,
@@ -35,30 +35,12 @@ def _fail(message, code):
     sys.exit(code)
 
 
-def _load_instance(path):
+def _load(path, parse, *args):
+    """parse(text, *args) on the file at path; a read or parse error
+    exits 2."""
     try:
         with open(path) as fh:
-            return parse_instance(fh.read())
-    except OSError as exc:
-        _fail(str(exc), 2)
-    except ParseError as exc:
-        _fail("%s: %s" % (path, exc), 2)
-
-
-def _load_partition(path, inst):
-    try:
-        with open(path) as fh:
-            return parse_partition(fh.read(), inst)
-    except OSError as exc:
-        _fail(str(exc), 2)
-    except ParseError as exc:
-        _fail("%s: %s" % (path, exc), 2)
-
-
-def _load_td(path, inst):
-    try:
-        with open(path) as fh:
-            return read_td(fh.read(), inst)
+            return parse(fh.read(), *args)
     except OSError as exc:
         _fail(str(exc), 2)
     except ParseError as exc:
@@ -96,8 +78,8 @@ def main():
 def verify(instance_path, partition_path, algo, k, td_path, mode, cap,
            max_states):
     """Check a partition for core stability; exit 1 prints a witness."""
-    inst = _load_instance(instance_path)
-    P = _load_partition(partition_path, inst)
+    inst = _load(instance_path, parse_instance)
+    P = _load(partition_path, parse_partition, inst)
     if k is not None and algo != "brute":
         _fail("--k is only supported with --algo brute", 2)
     start = time.time()
@@ -110,7 +92,7 @@ def verify(instance_path, partition_path, algo, k, td_path, mode, cap,
         elif algo == "tree":
             res = verify_tree(inst, P)
         elif algo == "tw":
-            td = _load_td(td_path, inst) if td_path else None
+            td = _load(td_path, read_td, inst) if td_path else None
             if td is None:
                 click.echo("no decomposition given; using heuristic", err=True)
             res = verify_treewidth(inst, P, td=td,
@@ -148,23 +130,19 @@ def verify(instance_path, partition_path, algo, k, td_path, mode, cap,
 def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
           emit_dimacs, emit_qdimacs):
     """Decide stable-partition existence; exit 0 prints a partition."""
-    inst = _load_instance(instance_path)
+    inst = _load(instance_path, parse_instance)
     if k is not None and algo != "brute":
         _fail("--k is only supported with --algo brute", 2)
     start = time.time()
     collect = {}
     try:
         if algo == "brute":
-            if k is None:
-                res = solve_cs_bruteforce(inst, cap=cap)
-            elif k == 2:
-                P = greedy_2core(inst)
-                from ashg.existence import CsResult, EXISTS
-                res = CsResult(EXISTS, P, method="greedy-2core")
+            if k == 2:
+                res = CsResult(EXISTS, greedy_2core(inst), method="greedy-2core")
             else:
-                res = solve_kcs_bruteforce(inst, k, cap=cap)
+                res = solve_cs_bruteforce(inst, k=k, cap=cap)
         else:
-            td = _load_td(td_path, inst) if td_path else None
+            td = _load(td_path, read_td, inst) if td_path else None
             res = solve_cs(inst, td=td, max_terms=max_terms,
                            max_states=max_states, collect=collect)
     except ResourceLimitError as exc:
@@ -195,12 +173,10 @@ def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
 
 @main.command()
 @click.argument("instance_path", type=click.Path(exists=True))
-@click.option("--heuristic", type=click.Choice(["min-fill", "min-degree"]),
-              default="min-fill", show_default=True)
-def decompose(instance_path, heuristic):
-    """Print a heuristic tree decomposition in PACE format."""
-    inst = _load_instance(instance_path)
-    td = heuristic_decompose(inst, heuristic=heuristic)
+def decompose(instance_path):
+    """Print a min-degree tree decomposition in PACE format."""
+    inst = _load(instance_path, parse_instance)
+    td = heuristic_decompose(inst)
     click.echo(emit_td(td, inst.n), nl=False)
 
 
@@ -230,7 +206,7 @@ def _write_outputs(prefix, gen, extra_provenance=()):
 
 def _source_graph(path):
     """Read an unweighted source graph for a reduction (weights ignored)."""
-    inst = _load_instance(path)
+    inst = _load(path, parse_instance)
     return inst.n, [(u, v) for u, v, _ in inst.edges]
 
 

@@ -35,12 +35,16 @@ class CsResult:
         return self.verdict == EXISTS
 
 
-def solve_cs_bruteforce(inst, cap=10):
-    """First core stable partition in restricted-growth order, if any."""
+def solve_cs_bruteforce(inst, k=None, cap=10):
+    """First core stable partition in restricted-growth order, if any;
+    with k, first k-core stable one (no blocking coalition of size at
+    most k)."""
+    if k is not None and k < 1:
+        raise PreconditionError("k must be at least 1")
     if inst.n > cap:
         raise ResourceLimitError("partition_enumeration_n", cap)
     for P in iter_partitions(inst.n):
-        if verify_bruteforce(inst, P, cap=None).stable:
+        if verify_bruteforce(inst, P, max_size=k, cap=None).stable:
             return CsResult(EXISTS, P, method="cs-brute")
     return CsResult(NOT_EXISTS, method="cs-brute")
 

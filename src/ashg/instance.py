@@ -9,6 +9,10 @@ from ashg.errors import ParseError, PreconditionError
 
 Coalition = frozenset
 
+# an instance holds one adjacency dict per vertex, so parse_instance
+# refuses a header that declares more vertices than this
+MAX_VERTICES = 1_000_000
+
 
 class AshgInstance:
     def __init__(self, n, edges, name=None, scale=None):
@@ -233,6 +237,9 @@ def parse_instance(text):
                 raise ParseError("non-integer header fields", lineno)
             if n < 0 or m < 0:
                 raise ParseError("negative counts in header", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError("header declares %d vertices, at most %d allowed"
+                                 % (n, MAX_VERTICES), lineno)
         elif parts[0] == "s":
             if len(parts) != 3 or parts[1] != "scale":
                 raise ParseError("expected 's scale <k>'", lineno)

@@ -1,9 +1,10 @@
-"""k-core stability: bounded verification, the greedy 2-core constructor,
-and bounded-coalition existence search."""
+"""k-core stability: bounded verification and the greedy 2-core
+constructor.  Bounded-coalition existence search is
+ashg.existence.solve_cs_bruteforce with k."""
 
-from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.instance import Partition, iter_partitions
-from ashg.verify import VerificationResult, verify_bruteforce
+from ashg.errors import PreconditionError
+from ashg.instance import Partition
+from ashg.verify import verify_bruteforce
 
 
 def verify_kcore(inst, P, k, cap=None):
@@ -33,15 +34,3 @@ def greedy_2core(inst):
         elif u < paired[u]:
             blocks.append({u, paired[u]})
     return Partition(blocks, inst.n)
-
-
-def solve_kcs_bruteforce(inst, k, cap=12):
-    """First k-core stable partition in restricted-growth order, if any."""
-    from ashg.existence import CsResult, EXISTS, NOT_EXISTS
-
-    if inst.n > cap:
-        raise ResourceLimitError("partition_enumeration_n", cap)
-    for P in iter_partitions(inst.n):
-        if verify_kcore(inst, P, k).stable:
-            return CsResult(EXISTS, P, method="kcs-brute")
-    return CsResult(NOT_EXISTS, method="kcs-brute")

@@ -165,7 +165,7 @@ def split_to_3dnf(q):
                  tuple(out), q.cnf), None
 
 
-def fresh_primal_td(q, heuristic="min-degree"):
+def fresh_primal_td(q):
     """Elimination-order decomposition of the primal graph of a 3-DNF
     matrix and its clauses, each of which is a clique of the graph.
     qbf_to_cnf pays 2^(universal variables) per bag, so the min-degree
@@ -175,7 +175,7 @@ def fresh_primal_td(q, heuristic="min-degree"):
     edges = [e for t in q.terms + q.cnf
              for e in combinations(sorted(set(map(abs, t))), 2)]
     graph = LabelGraph(variables, edges)
-    td = heuristic_decompose(graph, heuristic=heuristic, marked=q.y_vars)
+    td = heuristic_decompose(graph, marked=q.y_vars)
     return AnnotatedTd(td.bags, td.tree_edges(), q.y_vars)
 
 
@@ -571,7 +571,7 @@ def sat_treewidth(cnf, td, max_states=20_000_000):
         for start, dup in reversed(dups):
             if j >= start:
                 j = dup[j - start]
-        stack.extend(zip(kids[node], origin[j] if origin else (j,)))
+        stack.extend(zip(kids[node], origin[j]))
     true = {v if val else -v for v, val in value.items()}
     for cl in cnf.clauses:
         if true.isdisjoint(cl):
@@ -583,15 +583,10 @@ def _join(bag, tables):
     """Slots over bag's variables from the children's tables.
 
     Returns (n, valid, cols, origin): origin[j] holds the child slots that
-    slot j came from, or is None when a single child's slots are kept as
-    they are.  Children are reduced to their distinct states over the
-    shared variables, and states are paired when they agree on the
+    slot j came from.  Children are reduced to their distinct states over
+    the shared variables, and states are paired when they agree on the
     variables two children share.
     """
-    if len(tables) == 1:
-        n, valid, cols, _, _ = tables[0]
-        if n <= 2 * valid.bit_count():
-            return n, valid, {v: c for v, c in cols.items() if v in bag}, None
     n, cols, origin = 1, {}, [()]
     for cn, cvalid, ccols, _, _ in tables:
         shared = [v for v in ccols if v in bag]
@@ -612,7 +607,7 @@ def _join(bag, tables):
         else:
             pairs = [(i, j) for i in range(n) for j in keep.values()]
         if not pairs:
-            return 0, 0, {}, None
+            return 0, 0, {}, []
         mine = _picker([i for i, _ in pairs])
         theirs = _picker([j for _, j in pairs])
         cols = {v: _gather(col, n, mine) for v, col in cols.items()}

@@ -1,4 +1,4 @@
-"""Tree decompositions: validation, elimination heuristics, PACE I/O.
+"""Tree decompositions: validation, the min-degree heuristic, PACE I/O.
 
 PACE 2017 ``.td`` files are 1-based; everything internal is 0-based, with
 conversion happening only in read_td/emit_td.
@@ -155,24 +155,6 @@ def _min_degree_order(adj, marked=frozenset()):
     return steps
 
 
-def _fill_count(adj, u):
-    nb = list(adj[u])
-    count = 0
-    for i in range(len(nb)):
-        for j in range(i + 1, len(nb)):
-            if nb[j] not in adj[nb[i]]:
-                count += 1
-    return count
-
-
-def _min_fill_order(adj):
-    steps = []
-    while adj:
-        u = min(adj, key=lambda x: (_fill_count(adj, x), x))
-        steps.append((u, _eliminate(adj, u)))
-    return steps
-
-
 def _from_elimination(steps):
     """Decomposition from (vertex, neighbours when eliminated) steps."""
     if not steps:
@@ -192,18 +174,12 @@ def _from_elimination(steps):
     return TreeDecomposition(bags, edges)
 
 
-def heuristic_decompose(inst, heuristic="min-fill", marked=frozenset()):
-    """Decomposition from a greedy elimination order: min-fill or
-    min-degree. With min-degree, a non-empty marked set makes the
-    vertex with the fewest neighbours in marked go first."""
+def heuristic_decompose(inst, marked=frozenset()):
+    """Decomposition from the min-degree elimination order; a non-empty
+    marked set makes the vertex with the fewest neighbours in marked go
+    first."""
     adj = {u: set(inst.neighbors(u)) for u in inst.vertices()}
-    if heuristic == "min-degree":
-        steps = _min_degree_order(adj, frozenset(marked))
-    elif heuristic == "min-fill":
-        steps = _min_fill_order(adj)
-    else:
-        raise ValueError("unknown heuristic %r" % heuristic)
-    return _from_elimination(steps)
+    return _from_elimination(_min_degree_order(adj, frozenset(marked)))
 
 
 def _ints(tokens, what, lineno):

@@ -7,8 +7,8 @@ from ashg.existence import (EXISTS, NOT_EXISTS, decode_partition, encode_cs,
                             solve_cs, solve_cs_bruteforce)
 from ashg.instance import AshgInstance, Partition
 from ashg.qbf import eval_bruteforce
-from ashg.treedecomp import heuristic_decompose
-from ashg.verify import verify_bruteforce
+from ashg.treedecomp import TreeDecomposition, heuristic_decompose
+from ashg.verify import verify_bruteforce, verify_treewidth
 
 
 def triangle(w=1):
@@ -75,8 +75,6 @@ def test_encode_single_edge():
 
 
 def test_encode_rejects_invalid_td():
-    from ashg.treedecomp import TreeDecomposition
-
     with pytest.raises(PreconditionError):
         encode_cs(triangle(), td=TreeDecomposition([{0, 1}], []))
 
@@ -93,8 +91,9 @@ def test_encode_satisfiability_independent_of_td():
     for _ in range(20):
         inst = random_game(rng, max_n=4)
         sats = []
-        for h in ("min-degree", "min-fill"):
-            enc = encode_cs(inst, td=heuristic_decompose(inst, heuristic=h))
+        for td in (heuristic_decompose(inst),
+                   TreeDecomposition([range(inst.n)], [])):
+            enc = encode_cs(inst, td=td)
             sats.append(eval_bruteforce(enc.formula, cap=26)[0])
         assert sats[0] == sats[1]
         assert sats[0] == solve_cs_bruteforce(inst).exists
@@ -181,3 +180,16 @@ def test_solve_cs_matches_bruteforce_small():
     # every game on at most 3 vertices admits a core stable partition
     assert not seen_not_exists
 
+
+@pytest.mark.parametrize("n", [30, 120])
+def test_solve_cs_weighted_paths_certified(n):
+    # no zero edge splits the path, so the compiled CNF is one long chain
+    # of bags; each bag projects its child's table onto its own variables,
+    # which keeps the DP states linear in n under the default caps
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        inst = AshgInstance(n, [(i, i + 1, rng.choice([-3, -2, -1, 1, 2, 3]))
+                                for i in range(n - 1)])
+        res = solve_cs(inst)
+        assert res.verdict == EXISTS
+        assert verify_treewidth(inst, res.partition).stable

@@ -174,6 +174,15 @@ def test_parse_instance_errors():
         parse_instance("p ashg 2 1\ne 0 0 5\n")
 
 
+def test_parse_instance_rejects_oversized_vertex_count():
+    # refused from the header alone, before any adjacency is built
+    from ashg.instance import MAX_VERTICES
+
+    for n in (MAX_VERTICES + 1, 10 ** 10):
+        with pytest.raises(ParseError):
+            parse_instance("p ashg %d 0\n" % n)
+
+
 def test_parse_instance_non_integer_scale():
     with pytest.raises(ParseError):
         parse_instance("p ashg 2 1\ns scale x\ne 0 1 5\n")

@@ -3,9 +3,9 @@ import random
 import pytest
 
 from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.existence import EXISTS, NOT_EXISTS
+from ashg.existence import EXISTS, NOT_EXISTS, solve_cs_bruteforce
 from ashg.instance import AshgInstance, Partition, is_blocking
-from ashg.kcore import greedy_2core, solve_kcs_bruteforce, verify_kcore
+from ashg.kcore import greedy_2core, verify_kcore
 from ashg.verify import UNSTABLE, verify_bruteforce
 
 
@@ -99,7 +99,7 @@ def test_kcore_at_n_matches_unbounded():
 
 
 def test_solve_kcs_triangle():
-    res = solve_kcs_bruteforce(triangle(), 2)
+    res = solve_cs_bruteforce(triangle(), k=2)
     assert res.verdict == EXISTS
     assert verify_kcore(triangle(), res.partition, 2).stable
 
@@ -108,13 +108,18 @@ def test_solve_kcs_gadget_not_exists():
     from ashg.generators import gen_gadget
 
     gad = gen_gadget(rho=-16)
-    assert solve_kcs_bruteforce(gad.instance, 6).verdict == NOT_EXISTS
+    assert solve_cs_bruteforce(gad.instance, k=6).verdict == NOT_EXISTS
 
 
 def test_solve_kcs_cap():
-    inst = AshgInstance(13, [])
+    inst = AshgInstance(11, [])
     with pytest.raises(ResourceLimitError):
-        solve_kcs_bruteforce(inst, 2)
+        solve_cs_bruteforce(inst, k=2)
+
+
+def test_solve_kcs_rejects_bad_k():
+    with pytest.raises(PreconditionError):
+        solve_cs_bruteforce(triangle(), k=0)
 
 
 def test_clique_generator_witness():

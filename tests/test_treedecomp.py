@@ -64,10 +64,9 @@ def test_validate_non_tree():
 def test_tree_decomposes_to_width_one():
     # star plus a pendant path
     inst = AshgInstance(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1)])
-    for h in ("min-degree", "min-fill"):
-        td = heuristic_decompose(inst, heuristic=h)
-        assert validate_td(inst, td) is None
-        assert td.width == 1
+    td = heuristic_decompose(inst)
+    assert validate_td(inst, td) is None
+    assert td.width == 1
 
 
 def test_k4_width_three():
@@ -78,23 +77,17 @@ def test_k4_width_three():
 
 def test_c5_min_degree_width_two():
     inst = cycle(5)
-    td = heuristic_decompose(inst, heuristic="min-degree")
+    td = heuristic_decompose(inst)
     assert validate_td(inst, td) is None
     assert td.width == 2
-
-
-def test_unknown_heuristic():
-    with pytest.raises(ValueError):
-        heuristic_decompose(path(2), heuristic="random")
 
 
 @settings(max_examples=60)
 @given(instances())
 def test_heuristics_always_valid(inst):
-    for h in ("min-degree", "min-fill"):
-        td = heuristic_decompose(inst, heuristic=h)
-        assert validate_td(inst, td) is None
-        assert td.width <= inst.n - 1
+    td = heuristic_decompose(inst)
+    assert validate_td(inst, td) is None
+    assert td.width <= inst.n - 1
 
 
 def test_pace_round_trip():
