@@ -181,8 +181,10 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
              collect=None):
     """Decide core stable partition existence through the formula pipeline.
 
-    encode_cs builds the formula over the bag-completed graph of td, or,
-    without td, of a decomposition of the graph of the non-zero edges.
+    A zero-weight edge changes neither utilities nor stability, so it is
+    dropped first, and td need cover only the non-zero edges.  encode_cs
+    builds the formula over the bag-completed graph of td, or, without td,
+    of a decomposition of the graph of the non-zero edges.
     Its terms are split to 3-DNF, with the transitivity clauses carried
     alongside; the primal graph of terms and clauses is decomposed
     afresh, and the formula is compiled along that decomposition to a CNF,
@@ -192,10 +194,7 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
     """
     if inst.n == 0:
         return CsResult(EXISTS, Partition([], 0), method="qbf")
-    if td is None:
-        # a zero-weight edge changes neither utilities nor stability, so
-        # the decomposition need only cover the non-zero edges
-        inst = AshgInstance(inst.n, [e for e in inst.edges if e[2]])
+    inst = AshgInstance(inst.n, [e for e in inst.edges if e[2]])
     enc = encode_cs(inst, td, max_terms=max_terms)
     phi = enc.formula
     q = QbfEA(phi.x_vars, phi.y_vars, phi.dnf, phi.cnf)

@@ -217,6 +217,15 @@ def iter_partitions(n):
     yield from rec(1, 0)
 
 
+def parse_ints(tokens, what, lineno):
+    """The tokens of a text line as integers; ParseError names what they
+    are when one is not."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError("non-integer %s" % what, lineno) from None
+
+
 def parse_instance(text):
     n = m = None
     scale = None
@@ -231,10 +240,7 @@ def parse_instance(text):
                 raise ParseError("duplicate header", lineno)
             if len(parts) != 4 or parts[1] != "ashg":
                 raise ParseError("expected 'p ashg <n> <m>'", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer header fields", lineno)
+            n, m = parse_ints(parts[2:], "header fields", lineno)
             if n < 0 or m < 0:
                 raise ParseError("negative counts in header", lineno)
             if n > MAX_VERTICES:
@@ -243,10 +249,7 @@ def parse_instance(text):
         elif parts[0] == "s":
             if len(parts) != 3 or parts[1] != "scale":
                 raise ParseError("expected 's scale <k>'", lineno)
-            try:
-                scale = int(parts[2])
-            except ValueError:
-                raise ParseError("non-integer scale", lineno)
+            scale, = parse_ints(parts[2:], "scale", lineno)
             if scale <= 0:
                 raise ParseError("scale must be positive", lineno)
         elif parts[0] == "e":
@@ -254,10 +257,7 @@ def parse_instance(text):
                 raise ParseError("edge before header", lineno)
             if len(parts) != 4:
                 raise ParseError("expected 'e <u> <v> <w>'", lineno)
-            try:
-                u, v, w = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer edge fields", lineno)
+            u, v, w = parse_ints(parts[1:], "edge fields", lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError("vertex id out of range", lineno)
             if u == v:
@@ -293,10 +293,7 @@ def parse_partition(text, inst):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
-        try:
-            ids = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise ParseError("non-integer vertex id", lineno)
+        ids = parse_ints(line.split(), "vertex id", lineno)
         for u in ids:
             if not 0 <= u < inst.n:
                 raise ParseError("vertex id %d out of range" % u, lineno)

@@ -10,12 +10,10 @@ ride along untouched and are conjoined to the compiled CNF.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import itemgetter
 
 from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.treedecomp import (LabelGraph, TreeDecomposition,
-                             heuristic_decompose, root_tree)
+from ashg.treedecomp import TreeDecomposition, elimination_td, root_tree
 
 
 @dataclass(frozen=True)
@@ -171,11 +169,14 @@ def fresh_primal_td(q):
     qbf_to_cnf pays 2^(universal variables) per bag, so the min-degree
     order eliminates first the variable with the fewest universal
     neighbours, then the one of lowest degree."""
-    variables = sorted(set(q.x_vars) | set(q.y_vars))
-    edges = [e for t in q.terms + q.cnf
-             for e in combinations(sorted(set(map(abs, t))), 2)]
-    graph = LabelGraph(variables, edges)
-    td = heuristic_decompose(graph, marked=q.y_vars)
+    adj = {v: set() for v in set(q.x_vars) | set(q.y_vars)}
+    for t in q.terms + q.cnf:
+        vs = {abs(lit) for lit in t}
+        for v in vs:
+            adj[v] |= vs
+    for v, nb in adj.items():
+        nb.discard(v)
+    td = elimination_td(adj, marked=q.y_vars)
     return AnnotatedTd(td.bags, td.tree_edges(), q.y_vars)
 
 

@@ -5,6 +5,7 @@ conversion happening only in read_td/emit_td.
 """
 
 from ashg.errors import ParseError
+from ashg.instance import parse_ints
 
 
 class TreeDecomposition:
@@ -43,11 +44,7 @@ def root_tree(tree, root):
 
 
 def validate_td(inst, td):
-    """None when td is a valid decomposition of inst, else a violation report.
-
-    inst may be any graph-like object exposing vertices(), edges, and
-    neighbors(); vertex labels need not be 0..n-1.
-    """
+    """None when td is a valid decomposition of inst, else a violation report."""
     k = len(td.bags)
     if k == 0:
         return "decomposition has no bags"
@@ -60,7 +57,8 @@ def validate_td(inst, td):
     edge_count = sum(len(nb) for nb in td.tree.values()) // 2
     if edge_count != k - 1:
         return "tree has %d edges, expected %d" % (edge_count, k - 1)
-    if len(root_tree(td.tree, 0)[1]) != k:
+    parent, order = root_tree(td.tree, 0)
+    if len(order) != k:
         return "tree is disconnected"
     # every vertex occurs somewhere
     occ = {v: [] for v in inst.vertices()}
@@ -74,43 +72,14 @@ def validate_td(inst, td):
     for u, v, _ in inst.edges:
         if not any(u in b and v in b for b in td.bags):
             return "edge (%r,%r) covered by no bag" % (u, v)
-    # occurrences of each vertex induce a connected subtree
+    # occurrences of each vertex induce a connected subtree: exactly one
+    # of its bags has its parent outside them
     for v in inst.vertices():
-        nodes = set(occ[v])
-        start = occ[v][0]
-        comp = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in td.tree[i]:
-                if j in nodes and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        if comp != nodes:
+        tops = sum(1 for i in occ[v]
+                   if parent[i] is None or v not in td.bags[parent[i]])
+        if tops != 1:
             return "occurrences of vertex %r are disconnected" % (v,)
     return None
-
-
-class LabelGraph:
-    """Minimal graph over arbitrary hashable labels, for the decomposition
-    and validation helpers (formula primal graphs)."""
-
-    def __init__(self, vertices, edge_pairs):
-        self._vertices = list(vertices)
-        self._adj = {v: {} for v in self._vertices}
-        self.edges = []
-        for u, v in edge_pairs:
-            if u == v or v in self._adj[u]:
-                continue
-            self._adj[u][v] = 0
-            self._adj[v][u] = 0
-            self.edges.append((u, v, 0))
-
-    def vertices(self):
-        return self._vertices
-
-    def neighbors(self, u):
-        return self._adj[u]
 
 
 def _eliminate(adj, u):
@@ -174,19 +143,18 @@ def _from_elimination(steps):
     return TreeDecomposition(bags, edges)
 
 
-def heuristic_decompose(inst, marked=frozenset()):
-    """Decomposition from the min-degree elimination order; a non-empty
+def elimination_td(adj, marked=frozenset()):
+    """Decomposition of the graph adj, a map from each vertex to the set
+    of its neighbours, from the min-degree elimination order; a non-empty
     marked set makes the vertex with the fewest neighbours in marked go
-    first."""
-    adj = {u: set(inst.neighbors(u)) for u in inst.vertices()}
+    first.  adj is consumed."""
     return _from_elimination(_min_degree_order(adj, frozenset(marked)))
 
 
-def _ints(tokens, what, lineno):
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise ParseError("non-integer %s" % what, lineno) from None
+def heuristic_decompose(inst):
+    """Decomposition of the game's graph from the min-degree elimination
+    order."""
+    return elimination_td({u: set(inst.neighbors(u)) for u in inst.vertices()})
 
 
 def read_td(text, inst):
@@ -203,7 +171,7 @@ def read_td(text, inst):
                 raise ParseError("duplicate 's td' header", lineno)
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError("expected 's td <#bags> <max-bag-size> <n>'", lineno)
-            header = _ints(parts[2:], "header fields", lineno)
+            header = parse_ints(parts[2:], "header fields", lineno)
             if header[2] != inst.n:
                 raise ParseError("header declares %d vertices, instance has %d"
                                  % (header[2], inst.n), lineno)
@@ -212,7 +180,7 @@ def read_td(text, inst):
                 raise ParseError("bag before header", lineno)
             if len(parts) < 2:
                 raise ParseError("expected 'b <id> <vertices>'", lineno)
-            bid, *verts = _ints(parts[1:], "bag fields", lineno)
+            bid, *verts = parse_ints(parts[1:], "bag fields", lineno)
             if not 1 <= bid <= header[0]:
                 raise ParseError("bag id %d out of range" % bid, lineno)
             if bid in bags:
@@ -230,7 +198,7 @@ def read_td(text, inst):
                 raise ParseError("edge before header", lineno)
             if len(parts) != 2:
                 raise ParseError("expected tree edge '<i> <j>'", lineno)
-            i, j = _ints(parts, "tree edge", lineno)
+            i, j = parse_ints(parts, "tree edge", lineno)
             if not (1 <= i <= header[0] and 1 <= j <= header[0]):
                 raise ParseError("tree edge references unknown bag", lineno)
             edges.append((i - 1, j - 1))

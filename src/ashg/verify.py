@@ -46,42 +46,27 @@ def verify_bruteforce(inst, P, max_size=None, cap=1_000_000):
     return VerificationResult(STABLE, stats={"examined": examined})
 
 
-def _forest_rooted(inst):
-    """Parent map and postorder for each component, roots at minimum ids."""
-    parent = {}
-    post = []
-    visited = set()
-    for start in inst.vertices():
-        if start in visited:
-            continue
-        parent[start] = None
-        visited.add(start)
-        stack = [(start, False)]
-        while stack:
-            u, expanded = stack.pop()
-            if expanded:
-                post.append(u)
-                continue
-            stack.append((u, True))
-            for v in sorted(inst.neighbors(u)):
-                if v == parent[u]:
-                    continue
-                if v in visited:
-                    raise WrongAlgorithmError("instance contains a cycle")
-                visited.add(v)
-                parent[v] = u
-                stack.append((v, False))
-    return parent, post
-
-
 def verify_tree(inst, P):
-    """Linear-time verification on forests.
+    """Linear-time verification on forests, each component rooted at its
+    least vertex id.
 
     ut_below(u) is the best utility u can get from a coalition inside its
     subtree whose other members all strictly improve; a child v joins only
     when w(uv) >= 0 and ut_below(v) + w(uv) > ut_P(v).
     """
-    parent, post = _forest_rooted(inst)
+    adj = {u: inst.neighbors(u) for u in inst.vertices()}
+    parent = {}
+    post = []
+    roots = 0
+    for root in inst.vertices():
+        if root not in parent:
+            tree_parent, order = root_tree(adj, root)
+            parent.update(tree_parent)
+            post.extend(reversed(order))
+            roots += 1
+    # a graph is a forest exactly when it has n - (components) edges
+    if inst.m != inst.n - roots:
+        raise WrongAlgorithmError("instance contains a cycle")
     ut_p = all_partition_utilities(inst, P)
     below = [0] * inst.n
     for u in post:

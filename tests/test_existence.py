@@ -169,6 +169,15 @@ def test_solve_cs_k4_layer_counts():
     assert stats["sum_pow_univ"] == 924
 
 
+def test_solve_cs_given_td_need_not_cover_zero_edges():
+    # the zero-weight edge 03 lies in no bag of the path decomposition
+    inst = AshgInstance(4, [(0, 1, 2), (1, 2, -1), (2, 3, 1), (0, 3, 0)])
+    td = TreeDecomposition([{0, 1}, {1, 2}, {2, 3}], [(0, 1), (1, 2)])
+    res = solve_cs(inst, td=td)
+    assert res.verdict == solve_cs(inst).verdict == EXISTS
+    assert verify_treewidth(inst, res.partition).stable
+
+
 def test_solve_cs_matches_bruteforce_small():
     rng = random.Random(41)
     seen_not_exists = False

@@ -6,7 +6,7 @@ from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.qbf import (Cnf, E3CnfFDnf, QbfEA, eval_bruteforce,
                       fresh_primal_td, qbf_to_cnf, sat_treewidth,
                       split_to_3dnf, to_dimacs, to_qdimacs)
-from ashg.treedecomp import TreeDecomposition
+from ashg.treedecomp import TreeDecomposition, elimination_td
 
 
 def carry(phi):
@@ -151,12 +151,11 @@ def test_sat_treewidth_random_3cnf():
             clauses.append(tuple(v if rng.random() < 0.5 else -v
                                  for v in picks))
         cnf = Cnf(clauses, nv)
-        from ashg.treedecomp import LabelGraph, heuristic_decompose
-
-        edges = [(a, b) for cl in clauses
-                 for a in {abs(l) for l in cl} for b in {abs(l) for l in cl}
-                 if a < b]
-        td = heuristic_decompose(LabelGraph(range(1, nv + 1), edges))
+        adj = {v: set() for v in range(1, nv + 1)}
+        for cl in clauses:
+            for a in cl:
+                adj[abs(a)] |= {abs(b) for b in cl if abs(b) != abs(a)}
+        td = elimination_td(adj)
         exhaustive = any(
             all(any((bits >> (abs(l) - 1) & 1) == (l > 0) for l in cl)
                 for cl in clauses)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +61,37 @@ def test_validate_non_tree():
     inst = path(2)
     td = TreeDecomposition([{0, 1}, {0, 1}], [])
     assert "tree" in validate_td(inst, td)
+
+
+def test_validate_occurrence_connectivity_random():
+    rng = random.Random(5)
+    for _ in range(500):
+        n = rng.randint(1, 6)
+        k = rng.randint(1, 7)
+        label = rng.sample(range(k), k)
+        tree = [(label[rng.randrange(i)], label[i]) for i in range(1, k)]
+        bags = [{v for v in range(n) if rng.random() < 0.4} for _ in range(k)]
+        for v in range(n):
+            bags[rng.randrange(k)].add(v)
+        edges = {(u, v) for b in bags for u in b for v in b
+                 if u < v and rng.random() < 0.5}
+        inst = AshgInstance(n, [(u, v, 1) for u, v in sorted(edges)])
+        td = TreeDecomposition(bags, tree)
+        expected = None
+        for v in range(n):
+            nodes = {i for i in range(k) if v in bags[i]}
+            start = min(nodes)
+            seen = {start}
+            queue = [start]
+            for i in queue:
+                for j in td.tree[i]:
+                    if j in nodes and j not in seen:
+                        seen.add(j)
+                        queue.append(j)
+            if seen != nodes:
+                expected = "occurrences of vertex %r are disconnected" % (v,)
+                break
+        assert validate_td(inst, td) == expected
 
 
 def test_tree_decomposes_to_width_one():

@@ -109,6 +109,13 @@ def test_tree_rejects_cycle():
         verify_tree(triangle(), Partition.singletons(3))
 
 
+def test_tree_rejects_cycle_in_later_component():
+    # a tree, then a triangle, then an isolated vertex: three components
+    inst = AshgInstance(6, [(0, 1, 1), (2, 3, 1), (3, 4, 1), (2, 4, 1)])
+    with pytest.raises(WrongAlgorithmError):
+        verify_tree(inst, Partition.singletons(6))
+
+
 def test_treewidth_c4_unstable():
     inst = AshgInstance(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
     P = Partition.singletons(4)
