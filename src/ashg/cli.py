@@ -126,7 +126,7 @@ def verify(instance_path, partition_path, algo, k, td_path, mode, cap,
 @click.option("--emit-dimacs", type=click.Path(), default=None,
               help="Write the compiled CNF (qbf only).")
 @click.option("--emit-qdimacs", type=click.Path(), default=None,
-              help="Write the split formula: clauses, then terms (qbf only).")
+              help="Write the formula: clauses, then terms (qbf only).")
 def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
           emit_dimacs, emit_qdimacs):
     """Decide stable-partition existence; exit 0 prints a partition."""
@@ -149,9 +149,9 @@ def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
         _fail(str(exc), 3)
     except PreconditionError as exc:
         _fail(str(exc), 2)
-    if emit_qdimacs and "dnf3" in collect:
+    if emit_qdimacs and "ea" in collect:
         with open(emit_qdimacs, "w") as fh:
-            fh.write(to_qdimacs(collect["dnf3"]))
+            fh.write(to_qdimacs(collect["ea"]))
     if emit_dimacs and "cnf" in collect:
         with open(emit_dimacs, "w") as fh:
             fh.write(to_dimacs(collect["cnf"]))

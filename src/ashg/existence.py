@@ -6,7 +6,9 @@ stability).  A quantified formula then asks for an edge set encoding a
 partition (transitivity inside every bag) such that no non-empty vertex
 set is blocking.  The formula is decided through the compilation in
 ashg.qbf, which carries the transitivity clauses alongside the universal
-matrix.
+matrix.  Each phi_u term spans only u's closed neighbourhood and goes to
+the compilation whole; the one term that spans the whole game, the
+all-out term, is split as a tree along the decomposition.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +17,8 @@ from itertools import combinations
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.instance import AshgInstance, Partition, iter_partitions
 from ashg.qbf import (E3CnfFDnf, QbfEA, fresh_primal_td, qbf_to_cnf,
-                      sat_treewidth, split_to_3dnf)
-from ashg.treedecomp import heuristic_decompose, validate_td
+                      sat_treewidth)
+from ashg.treedecomp import heuristic_decompose, root_tree, validate_td
 from ashg.verify import verify_bruteforce
 
 EXISTS = "Exists"
@@ -76,8 +78,9 @@ def _phi_terms(inst, u, vertex_var, xvar, neighbours):
     the neighbours with non-zero weight, heaviest first.  It branches on
     every y_v (v in X adds w), then on each x_uv (v in u's part subtracts
     w), where a path stops once the weights left cannot change the
-    verdict.  Deciding the universal y first keeps them out of the long
-    tails the 3-DNF split shares.
+    verdict.  Deciding the universal y first makes each term's universal
+    part a whole assignment to y_u and the y of u's non-zero neighbours;
+    only the x tails stop early.
     """
     nb = sorted((v for v in neighbours if inst.weight(u, v)),
                 key=lambda v: (-abs(inst.weight(u, v)), v))
@@ -105,6 +108,36 @@ def _phi_terms(inst, u, vertex_var, xvar, neighbours):
     return ys(0, 0, (vertex_var[u],))
 
 
+def _all_out_terms(td, vertex_var, first):
+    """The all-out term, the AND of every -y_v, split as a tree along td
+    rooted at its last bag, with link variables numbered from first.
+
+    Each non-root bag t has a link z_t.  Bag t's term is -z_t (none at
+    the root), the -y_v of the vertices whose top bag is t, and z_c for
+    each child c.  A term longer than 4 literals is cut into a chain
+    joined by further links.  Every link occurs positively in one term,
+    and forall z. (A and z) or (-z and B) or O equals (A and B) or O, so
+    the terms collapse back to the AND of every -y_v.  Returns (terms,
+    link variables).
+    """
+    parent, order = root_tree(td.tree, len(td.bags) - 1)
+    up = {t: first + i for i, t in enumerate(order[1:])}
+    nxt = first + len(up)
+    terms = []
+    for t in order:
+        above = td.bags[parent[t]] if t in up else frozenset()
+        lits = [-vertex_var[v] for v in sorted(td.bags[t] - above)]
+        lits += [up[c] for c in sorted(td.tree[t]) if c != parent[t]]
+        head = (-up[t],) if t in up else ()
+        while len(head) + len(lits) > 4:
+            k = 3 - len(head)
+            terms.append(head + tuple(lits[:k]) + (nxt,))
+            head, lits = (-nxt,), lits[k:]
+            nxt += 1
+        terms.append(head + tuple(lits))
+    return terms, tuple(range(first, nxt))
+
+
 def encode_cs(inst, td=None, max_terms=2_000_000):
     """Build the exists-forall formula whose models are the core stable
     partitions of the game.
@@ -115,8 +148,10 @@ def encode_cs(inst, td=None, max_terms=2_000_000):
     vertex u, the terms of phi_u (see _phi_terms) are the accepting
     paths of a threshold decision diagram over u's neighbours with
     non-zero weight, and together say that u lies in X and does not
-    strictly improve on its own part.  Each term starts with y_u.
-    max_terms caps the number of terms emitted over all vertices.
+    strictly improve on its own part.  Each term starts with y_u.  The
+    all-out terms (see _all_out_terms) say that X is empty; their link
+    variables are universal and follow the y in y_vars.  max_terms caps
+    the number of phi_u terms emitted over all vertices.
     """
     if td is None:
         td = heuristic_decompose(inst)
@@ -160,10 +195,11 @@ def encode_cs(inst, td=None, max_terms=2_000_000):
                 raise ResourceLimitError("phi_u_terms", max_terms)
             dnf.append(term)
     # the all-out coalition is empty, hence never blocking
-    dnf.append(tuple(-vertex_var[u] for u in inst.vertices()))
+    out, links = _all_out_terms(td, vertex_var, nxt)
+    dnf += out
 
     phi = E3CnfFDnf(tuple(range(1, len(edge_var) + 1)),
-                    tuple(vertex_var[u] for u in inst.vertices()),
+                    tuple(vertex_var[u] for u in inst.vertices()) + links,
                     tuple(cnf), tuple(dnf))
     return CsEncoding(phi, edge_var, vertex_var, adj)
 
@@ -185,12 +221,11 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
     dropped first, and td need cover only the non-zero edges.  encode_cs
     builds the formula over the bag-completed graph of td, or, without td,
     of a decomposition of the graph of the non-zero edges.
-    Its terms are split to 3-DNF, with the transitivity clauses carried
-    alongside; the primal graph of terms and clauses is decomposed
+    The primal graph of its terms and transitivity clauses is decomposed
     afresh, and the formula is compiled along that decomposition to a CNF,
     the clauses included, whose satisfiability sat_treewidth decides.
     collect, when a dict, receives the intermediate artifacts (ea is the
-    unsplit formula with its clauses).
+    compiled formula with its clauses).
     """
     if inst.n == 0:
         return CsResult(EXISTS, Partition([], 0), method="qbf")
@@ -198,10 +233,9 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
     enc = encode_cs(inst, td, max_terms=max_terms)
     phi = enc.formula
     q = QbfEA(phi.x_vars, phi.y_vars, phi.dnf, phi.cnf)
-    q3, _ = split_to_3dnf(q)
-    cnf, psitd = qbf_to_cnf(q3, fresh_primal_td(q3))
+    cnf, psitd = qbf_to_cnf(q, fresh_primal_td(q))
     if collect is not None:
-        collect.update(encoding=enc, ea=q, dnf3=q3, cnf=cnf, cnf_td=psitd)
+        collect.update(encoding=enc, ea=q, cnf=cnf, cnf_td=psitd)
     sat, model = sat_treewidth(cnf, psitd, max_states=max_states)
     if not sat:
         return CsResult(NOT_EXISTS, method="qbf",

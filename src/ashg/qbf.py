@@ -3,10 +3,11 @@ to plain CNF over a tree decomposition.
 
 Variables are positive integers, literals are signed integers.  The
 pipeline takes a two-level formula, exists x: CNF(x) and forall y:
-DNF(x, y).  Its DNF terms are split to width 3, and the result is
-compiled along a decomposition of its primal graph to a CNF whose
-satisfiability is decided by a tree decomposition DP.  The x-only clauses
-ride along untouched and are conjoined to the compiled CNF.
+DNF(x, y), with terms of any width.  It is compiled along a decomposition
+of its primal graph to a CNF whose satisfiability is decided by a tree
+decomposition DP.  The x-only clauses ride along untouched and are
+conjoined to the compiled CNF.  split_to_3dnf rewrites a formula's terms
+to width 3, for callers that want that form.
 """
 
 from dataclasses import dataclass
@@ -164,11 +165,12 @@ def split_to_3dnf(q):
 
 
 def fresh_primal_td(q):
-    """Elimination-order decomposition of the primal graph of a 3-DNF
-    matrix and its clauses, each of which is a clique of the graph.
-    qbf_to_cnf pays 2^(universal variables) per bag, so the min-degree
-    order eliminates first the variable with the fewest universal
-    neighbours, then the one of lowest degree."""
+    """Elimination-order decomposition of the primal graph of a DNF
+    matrix and its clauses, each term and clause a clique of the graph.
+    qbf_to_cnf pays 2^(universal variables) per bag, whatever the width
+    of the terms, so the min-degree order eliminates first the variable
+    with the fewest universal neighbours, then the one of lowest
+    degree."""
     adj = {v: set() for v in set(q.x_vars) | set(q.y_vars)}
     for t in q.terms + q.cnf:
         vs = {abs(lit) for lit in t}
@@ -181,12 +183,13 @@ def fresh_primal_td(q):
 
 
 def qbf_to_cnf(q, td):
-    """Compile exists x: CNF(x) and forall y: 3-DNF(x, y) into an
+    """Compile exists x: CNF(x) and forall y: DNF(x, y) into an
     equisatisfiable CNF.
 
-    td must describe the primal graph of q's terms and clauses.  The
-    compile walks
-    td rooted at its last bag, the root of an elimination-order
+    td must describe the primal graph of q's terms and clauses, so each
+    term, of any width, lies in a bag; the cost is 2^(universal
+    variables) per bag, whatever the width of the terms.  The compile
+    walks td rooted at its last bag, the root of an elimination-order
     decomposition.  Per bag B and per assignment sigma to B's universal
     variables, z_(B,sigma) says that sigma extends to an assignment of
     the universal variables below B falsifying every term checked below
@@ -212,8 +215,6 @@ def qbf_to_cnf(q, td):
     the most existential and universal variables in one bag (t_exists,
     t_forall).
     """
-    if not q.is_3dnf:
-        raise PreconditionError("matrix is not in 3-DNF")
     c = _Compile(q, td.universal)
     root = len(td.bags) - 1
     parent, order = root_tree(td.tree, root)

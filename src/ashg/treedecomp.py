@@ -68,9 +68,9 @@ def validate_td(inst, td):
     for v in inst.vertices():
         if not occ[v]:
             return "vertex %r occurs in no bag" % (v,)
-    # every edge covered by a bag
+    # every edge covered by a bag, looked for among u's bags
     for u, v, _ in inst.edges:
-        if not any(u in b and v in b for b in td.bags):
+        if not any(v in td.bags[i] for i in occ[u]):
             return "edge (%r,%r) covered by no bag" % (u, v)
     # occurrences of each vertex induce a connected subtree: exactly one
     # of its bags has its parent outside them

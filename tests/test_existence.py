@@ -1,12 +1,14 @@
 import random
+import warnings
 
 import pytest
 
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.existence import (EXISTS, NOT_EXISTS, decode_partition, encode_cs,
                             solve_cs, solve_cs_bruteforce)
+from ashg.generators import gen_gadget
 from ashg.instance import AshgInstance, Partition
-from ashg.qbf import eval_bruteforce
+from ashg.qbf import QbfEA, eval_bruteforce
 from ashg.treedecomp import TreeDecomposition, heuristic_decompose
 from ashg.verify import verify_bruteforce, verify_treewidth
 
@@ -146,27 +148,27 @@ def test_solve_cs_collect_artifacts():
     collect = {}
     res = solve_cs(AshgInstance(2, [(0, 1, 1)]), collect=collect)
     assert res.verdict == EXISTS
-    assert {"encoding", "ea", "dnf3", "cnf", "cnf_td"} <= set(collect)
-    assert collect["dnf3"].is_3dnf
+    assert {"encoding", "ea", "cnf", "cnf_td"} <= set(collect)
 
 
 def test_solve_cs_k4_layer_counts():
-    # the roadmap K4 game; the clauses ride beside the compiled CNF, so the
-    # universal variables are the four y plus the 3-DNF split variables
+    # the roadmap K4 game; the formula goes to the compile as encoded, with
+    # the clauses beside it, so the universal variables are the four y
+    # plus the links of the all-out terms
     inst = AshgInstance(4, [(0, 1, 2), (0, 2, -1), (0, 3, 1), (1, 2, 1),
                             (1, 3, -2), (2, 3, 1)])
     collect = {}
     assert solve_cs(inst, collect=collect).verdict == EXISTS
-    phi, q3 = collect["encoding"].formula, collect["dnf3"]
-    assert collect["ea"].cnf == q3.cnf == phi.cnf
-    assert q3.y_vars[:4] == phi.y_vars
-    split = q3.y_vars[4:]
-    assert min(split) > max(phi.x_vars + phi.y_vars)
-    assert sum(1 for t in q3.terms for l in t if l in split) == len(split)
+    enc, q = collect["encoding"], collect["ea"]
+    phi = enc.formula
+    assert (q.x_vars, q.y_vars, q.terms, q.cnf) == (
+        phi.x_vars, phi.y_vars, phi.dnf, phi.cnf)
+    assert q.y_vars[:4] == tuple(enc.vertex_var[u] for u in range(4))
+    assert len(q.y_vars) == 7
     stats = collect["cnf_td"].stats
-    assert len(collect["cnf"].clauses) == 442
+    assert len(collect["cnf"].clauses) == 214
     assert stats["t_forall"] == 5
-    assert stats["sum_pow_univ"] == 924
+    assert stats["sum_pow_univ"] == 100
 
 
 def test_solve_cs_given_td_need_not_cover_zero_edges():
@@ -202,3 +204,108 @@ def test_solve_cs_weighted_paths_certified(n):
         res = solve_cs(inst)
         assert res.verdict == EXISTS
         assert verify_treewidth(inst, res.partition).stable
+
+
+def ladder(cols, seed=1):
+    """2 x cols grid, row-major ids, every weight drawn from +-1..3."""
+    rng = random.Random(seed)
+    edges = []
+    for u in range(2 * cols):
+        if u % cols + 1 < cols:
+            edges.append((u, u + 1, rng.choice([-3, -2, -1, 1, 2, 3])))
+        if u < cols:
+            edges.append((u, u + cols, rng.choice([-3, -2, -1, 1, 2, 3])))
+    return AshgInstance(2 * cols, edges)
+
+
+def caterpillar(spine, seed=1):
+    """A path of spine vertices, each with one leaf, weights +-1..3."""
+    rng = random.Random(seed)
+    edges = [(i, i + 1, rng.choice([-3, -2, -1, 1, 2, 3]))
+             for i in range(spine - 1)]
+    edges += [(i, spine + i, rng.choice([-3, -2, -1, 1, 2, 3]))
+              for i in range(spine)]
+    return AshgInstance(2 * spine, edges)
+
+
+def t_forall(inst):
+    collect = {}
+    res = solve_cs(inst, collect=collect)
+    assert res.verdict == EXISTS
+    assert verify_treewidth(inst, res.partition).stable
+    return collect["cnf_td"].stats["t_forall"]
+
+
+def test_solve_cs_t_forall_flat_on_ladders():
+    # the all-out term follows the decomposition, not the vertex ids, which
+    # jump a whole row at each step; 2x8 first, as a chain in id order
+    # makes it large and 2x16 slow
+    assert t_forall(ladder(8)) == 6
+    assert t_forall(ladder(16)) == 6
+    inst = ladder(32)
+    res = solve_cs(inst)
+    assert res.verdict == EXISTS
+    assert verify_treewidth(inst, res.partition).stable
+
+
+def test_solve_cs_t_forall_flat_on_caterpillars():
+    # a decomposition that branches at every spine bag
+    assert t_forall(caterpillar(10)) == 5
+    assert t_forall(caterpillar(20)) == 5
+
+
+def test_all_out_terms_at_most_four_literals():
+    # one bag of 6 vertices: the root's term would hold all six -y
+    inst = AshgInstance(6, [(0, 1, 2), (1, 2, -1), (2, 3, 1), (3, 4, 2),
+                            (4, 5, -1), (0, 5, 1)])
+    one_bag = TreeDecomposition([range(6)], [])
+    enc = encode_cs(inst, td=one_bag)
+    ys = tuple(enc.vertex_var[u] for u in range(6))
+    out = [t for t in enc.formula.dnf if t[0] not in ys]
+    assert len(out) > 1
+    assert max(map(len, out)) <= 4
+    # the links collapse the terms to -y_0 and ... and -y_5: with a term
+    # y_v for each v they cover every assignment, and without one they
+    # leave y_v alone true uncovered
+    links = enc.formula.y_vars[6:]
+    assert {abs(l) for t in out for l in t} == set(ys + links)
+    for drop in (None,) + ys:
+        q = QbfEA((), ys + links,
+                  tuple(out) + tuple((y,) for y in ys if y != drop))
+        assert eval_bruteforce(q)[0] is (drop is None)
+    res = solve_cs(inst, td=one_bag)
+    assert res.verdict == solve_cs_bruteforce(inst).verdict
+    assert verify_treewidth(inst, res.partition).stable
+
+
+def test_solve_cs_gadget_not_exists():
+    assert solve_cs(gen_gadget(rho=-16).instance).verdict == NOT_EXISTS
+    # the same gadget over one bag chains its all-out term
+    inst = gen_gadget(rho=-16).instance
+    one_bag = TreeDecomposition([range(inst.n)], [])
+    assert solve_cs(inst, td=one_bag).verdict == NOT_EXISTS
+
+
+def test_solve_cs_matches_bruteforce_on_gadget_games():
+    # weights perturbed by -1..1 and up to two pendant vertices, so both
+    # verdicts occur
+    rng = random.Random(23)
+    verdicts = set()
+    for _ in range(100):
+        rho = rng.choice([-20, -16, -15, -12])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gad = gen_gadget(rho=rho).instance
+        edges = [(u, v, w + rng.choice([-1, 0, 1])) for u, v, w in gad.edges]
+        n = gad.n
+        for _ in range(rng.randint(0, 2)):
+            edges.append((rng.randrange(n), n,
+                          rng.choice([-3, -2, -1, 1, 2, 3])))
+            n += 1
+        inst = AshgInstance(n, edges)
+        res = solve_cs(inst)
+        assert res.verdict == solve_cs_bruteforce(inst).verdict
+        if res.exists:
+            assert verify_treewidth(inst, res.partition).stable
+        verdicts.add(res.verdict)
+    assert verdicts == {EXISTS, NOT_EXISTS}

@@ -22,7 +22,7 @@ def run_chain(phi):
     return sat
 
 
-def random_formula(rng, max_vars=10):
+def random_formula(rng, max_vars=10, max_width=5):
     nx = rng.randint(0, max_vars)
     ny = rng.randint(0, max_vars - nx)
     xs = tuple(range(1, nx + 1))
@@ -36,7 +36,7 @@ def random_formula(rng, max_vars=10):
     dnf = []
     if allv:
         for _ in range(rng.randint(1, 5)):
-            picks = rng.sample(allv, min(len(allv), rng.randint(1, 5)))
+            picks = rng.sample(allv, min(len(allv), rng.randint(1, max_width)))
             dnf.append(tuple(v if rng.random() < 0.5 else -v for v in picks))
     return E3CnfFDnf(xs, ys, tuple(cnf), tuple(dnf))
 
@@ -120,10 +120,16 @@ def test_qbf_to_cnf_simple_unsat():
     assert sat_treewidth(cnf, td)[0] is False
 
 
-def test_qbf_to_cnf_rejects_wide_matrix():
-    q = QbfEA((), (1, 2, 3, 4), ((1, 2, 3, 4),))
-    with pytest.raises(PreconditionError):
-        qbf_to_cnf(q, fresh_primal_td(q))
+def test_qbf_to_cnf_compiles_wide_terms():
+    # terms of up to 6 literals go to the compile unsplit
+    rng = random.Random(66)
+    wide = 0
+    for _ in range(100):
+        q = carry(random_formula(rng, max_vars=10, max_width=6))
+        wide += any(len(t) > 3 for t in q.terms)
+        cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
+        assert sat_treewidth(cnf, ctd)[0] == eval_bruteforce(q)[0]
+    assert wide > 50
 
 
 def test_sat_treewidth_basics():

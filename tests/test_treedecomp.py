@@ -94,6 +94,37 @@ def test_validate_occurrence_connectivity_random():
         assert validate_td(inst, td) == expected
 
 
+def test_validate_edge_coverage_random():
+    # each vertex's bags grow as a connected subtree, so only an edge can
+    # be reported; the reference scans every bag for every edge
+    rng = random.Random(11)
+    reported = 0
+    for _ in range(500):
+        n = rng.randint(1, 7)
+        k = rng.randint(1, 7)
+        label = rng.sample(range(k), k)
+        td = TreeDecomposition([()] * k, [(label[rng.randrange(i)], label[i])
+                                          for i in range(1, k)])
+        bags = [set() for _ in range(k)]
+        for v in range(n):
+            grown = [rng.randrange(k)]
+            for _ in range(rng.randint(0, k - 1)):
+                i = rng.choice(grown)
+                grown += [j for j in td.tree[i] if j not in grown][:1]
+            for i in grown:
+                bags[i].add(v)
+        td.bags = [frozenset(b) for b in bags]
+        inst = AshgInstance(n, [(u, v, 1) for u in range(n)
+                                for v in range(u + 1, n) if rng.random() < 0.4])
+        expected = next(("edge (%r,%r) covered by no bag" % (u, v)
+                         for u, v, _ in inst.edges
+                         if not any(u in b and v in b for b in td.bags)),
+                        None)
+        assert validate_td(inst, td) == expected
+        reported += expected is not None
+    assert 100 < reported < 400
+
+
 def test_tree_decomposes_to_width_one():
     # star plus a pendant path
     inst = AshgInstance(6, [(0, 1, 1), (0, 2, 1), (0, 3, 1), (3, 4, 1), (4, 5, 1)])
