@@ -279,9 +279,9 @@ def test_all_out_terms_at_most_four_literals():
 
 
 def test_solve_cs_gadget_not_exists():
-    assert solve_cs(gen_gadget(rho=-16).instance).verdict == NOT_EXISTS
-    # the same gadget over one bag chains its all-out term
     inst = gen_gadget(rho=-16).instance
+    assert solve_cs(inst).verdict == NOT_EXISTS
+    # the same gadget over one bag chains its all-out term
     one_bag = TreeDecomposition([range(inst.n)], [])
     assert solve_cs(inst, td=one_bag).verdict == NOT_EXISTS
 

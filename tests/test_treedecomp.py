@@ -103,17 +103,19 @@ def test_validate_edge_coverage_random():
         n = rng.randint(1, 7)
         k = rng.randint(1, 7)
         label = rng.sample(range(k), k)
-        td = TreeDecomposition([()] * k, [(label[rng.randrange(i)], label[i])
-                                          for i in range(1, k)])
+        tree = [(label[rng.randrange(i)], label[i]) for i in range(1, k)]
+        parent = {child: p for p, child in tree}
         bags = [set() for _ in range(k)]
         for v in range(n):
-            grown = [rng.randrange(k)]
-            for _ in range(rng.randint(0, k - 1)):
-                i = rng.choice(grown)
-                grown += [j for j in td.tree[i] if j not in grown][:1]
+            # label lists every bag after its parent
+            start = rng.randrange(k)
+            grown = {label[start]}
+            for i in label[start + 1:]:
+                if parent[i] in grown and rng.random() < 0.6:
+                    grown.add(i)
             for i in grown:
                 bags[i].add(v)
-        td.bags = [frozenset(b) for b in bags]
+        td = TreeDecomposition(bags, tree)
         inst = AshgInstance(n, [(u, v, 1) for u in range(n)
                                 for v in range(u + 1, n) if rng.random() < 0.4])
         expected = next(("edge (%r,%r) covered by no bag" % (u, v)
