@@ -14,8 +14,8 @@ import time
 
 import click
 
-from ashg.errors import (AshgError, ParseError, PreconditionError,
-                         ResourceLimitError, WrongAlgorithmError)
+from ashg.errors import (ParseError, PreconditionError, ResourceLimitError,
+                         WrongAlgorithmError)
 from ashg.existence import EXISTS, CsResult, solve_cs, solve_cs_bruteforce
 from ashg.generators import (gen_33sat_cs, gen_3col_kcs, gen_bdd_csv,
                              gen_binpacking_csv, gen_clique_kcsv,
@@ -55,7 +55,20 @@ def _report(command, verdict, elapsed, stats):
         click.echo("%s: %s" % (key, stats[key]), err=True)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; a cap hit exits 3, and a precondition the input
+    fails, or an algorithm that does not apply to it, exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ResourceLimitError as exc:
+            _fail(str(exc), 3)
+        except (PreconditionError, WrongAlgorithmError) as exc:
+            _fail(str(exc), 2)
+
+
+@click.group(cls=_Main)
 def main():
     """Core stability toolkit for additively separable hedonic games."""
 
@@ -83,27 +96,22 @@ def verify(instance_path, partition_path, algo, k, td_path, mode, cap,
     if k is not None and algo != "brute":
         _fail("--k is only supported with --algo brute", 2)
     start = time.time()
-    try:
-        if algo == "brute":
-            if k is not None:
-                res = verify_kcore(inst, P, k, cap=cap)
-            else:
-                res = verify_bruteforce(inst, P, cap=cap)
-        elif algo == "tree":
-            res = verify_tree(inst, P)
-        elif algo == "tw":
-            td = _load(td_path, read_td, inst) if td_path else None
-            if td is None:
-                click.echo("no decomposition given; using heuristic", err=True)
-            res = verify_treewidth(inst, P, td=td,
-                                   mode=VALUE if mode == "value" else EDGESET,
-                                   max_states=max_states)
+    if algo == "brute":
+        if k is not None:
+            res = verify_kcore(inst, P, k, cap=cap)
         else:
-            res = verify_vertexcover(inst, P)
-    except ResourceLimitError as exc:
-        _fail(str(exc), 3)
-    except (PreconditionError, WrongAlgorithmError) as exc:
-        _fail(str(exc), 2)
+            res = verify_bruteforce(inst, P, cap=cap)
+    elif algo == "tree":
+        res = verify_tree(inst, P)
+    elif algo == "tw":
+        td = _load(td_path, read_td, inst) if td_path else None
+        if td is None:
+            click.echo("no decomposition given; using heuristic", err=True)
+        res = verify_treewidth(inst, P, td=td,
+                               mode=VALUE if mode == "value" else EDGESET,
+                               max_states=max_states)
+    else:
+        res = verify_vertexcover(inst, P)
     _report("verify --algo %s" % algo, res.verdict, time.time() - start,
             res.stats)
     if not res.stable:
@@ -135,23 +143,18 @@ def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
         _fail("--k is only supported with --algo brute", 2)
     start = time.time()
     collect = {}
-    try:
-        if algo == "brute":
-            if k == 2:
-                res = CsResult(EXISTS, greedy_2core(inst), method="greedy-2core")
-            else:
-                res = solve_cs_bruteforce(inst, k=k, cap=cap)
+    if algo == "brute":
+        if k == 2:
+            res = CsResult(EXISTS, greedy_2core(inst))
         else:
-            td = _load(td_path, read_td, inst) if td_path else None
-            res = solve_cs(inst, td=td, max_terms=max_terms,
-                           max_states=max_states, collect=collect)
-    except ResourceLimitError as exc:
-        _fail(str(exc), 3)
-    except PreconditionError as exc:
-        _fail(str(exc), 2)
-    if emit_qdimacs and "ea" in collect:
+            res = solve_cs_bruteforce(inst, k=k, cap=cap)
+    else:
+        td = _load(td_path, read_td, inst) if td_path else None
+        res = solve_cs(inst, td=td, max_terms=max_terms,
+                       max_states=max_states, collect=collect)
+    if emit_qdimacs and "encoding" in collect:
         with open(emit_qdimacs, "w") as fh:
-            fh.write(to_qdimacs(collect["ea"]))
+            fh.write(to_qdimacs(collect["encoding"].formula))
     if emit_dimacs and "cnf" in collect:
         with open(emit_dimacs, "w") as fh:
             fh.write(to_dimacs(collect["cnf"]))
@@ -159,13 +162,10 @@ def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
             res.stats)
     if not res.exists:
         sys.exit(1)
-    try:
-        if k is not None:
-            check = verify_kcore(inst, res.partition, k, cap=None)
-        else:
-            check = verify_treewidth(inst, res.partition)
-    except ResourceLimitError as exc:
-        _fail(str(exc), 3)
+    if k is not None:
+        check = verify_kcore(inst, res.partition, k, cap=None)
+    else:
+        check = verify_treewidth(inst, res.partition)
     if not check.stable:
         _fail("internal: solver returned a partition that fails verification", 2)
     click.echo(emit_partition(res.partition), nl=False)
@@ -226,10 +226,7 @@ def gen_gadget_cmd(rho, out):
 @click.argument("values", type=int, nargs=-1, required=True)
 @click.option("--out", required=True)
 def gen_partition_cmd(values, out):
-    try:
-        _write_outputs(out, gen_partition_csv(list(values)))
-    except PreconditionError as exc:
-        _fail(str(exc), 2)
+    _write_outputs(out, gen_partition_csv(list(values)))
 
 
 @gen.command("binpacking-csv")
@@ -237,10 +234,7 @@ def gen_partition_cmd(values, out):
 @click.option("--k", type=int, required=True)
 @click.option("--out", required=True)
 def gen_binpacking_cmd(values, k, out):
-    try:
-        _write_outputs(out, gen_binpacking_csv(list(values), k))
-    except PreconditionError as exc:
-        _fail(str(exc), 2)
+    _write_outputs(out, gen_binpacking_csv(list(values), k))
 
 
 @gen.command("bdd-csv")
@@ -250,10 +244,7 @@ def gen_binpacking_cmd(values, k, out):
 @click.option("--out", required=True)
 def gen_bdd_cmd(graph, dstar, size, out):
     n, edges = _source_graph(graph)
-    try:
-        _write_outputs(out, gen_bdd_csv(n, edges, dstar, size))
-    except PreconditionError as exc:
-        _fail(str(exc), 2)
+    _write_outputs(out, gen_bdd_csv(n, edges, dstar, size))
 
 
 @gen.command("clique-kcsv")
@@ -262,10 +253,7 @@ def gen_bdd_cmd(graph, dstar, size, out):
 @click.option("--out", required=True)
 def gen_clique_cmd(graph, k, out):
     n, edges = _source_graph(graph)
-    try:
-        _write_outputs(out, gen_clique_kcsv(n, edges, k))
-    except PreconditionError as exc:
-        _fail(str(exc), 2)
+    _write_outputs(out, gen_clique_kcsv(n, edges, k))
 
 
 @gen.command("eapartition-cs")
@@ -273,10 +261,7 @@ def gen_clique_cmd(graph, k, out):
 @click.option("-b", "bvals", type=int, multiple=True, required=True)
 @click.option("--out", required=True)
 def gen_ea_cmd(avals, bvals, out):
-    try:
-        _write_outputs(out, gen_eapartition_cs(list(avals), list(bvals)))
-    except PreconditionError as exc:
-        _fail(str(exc), 2)
+    _write_outputs(out, gen_eapartition_cs(list(avals), list(bvals)))
 
 
 @gen.command("threecol-kcs")
@@ -285,10 +270,7 @@ def gen_ea_cmd(avals, bvals, out):
 @click.option("--out", required=True)
 def gen_3col_cmd(graph, k, out):
     n, edges = _source_graph(graph)
-    try:
-        result = gen_3col_kcs(n, edges, k)
-    except PreconditionError as exc:
-        _fail(str(exc), 2)
+    result = gen_3col_kcs(n, edges, k)
     coloring = result.info.get("coloring")
     if coloring is not None:
         result.partition = coloring_partition_3col(result, coloring)
@@ -305,10 +287,7 @@ def gen_sat33_cmd(num_vars, clause_strs, out):
         clauses = [tuple(int(tok) for tok in c.split()) for c in clause_strs]
     except ValueError:
         _fail("clauses must be integers", 2)
-    try:
-        _write_outputs(out, gen_33sat_cs(num_vars, clauses))
-    except PreconditionError as exc:
-        _fail(str(exc), 2)
+    _write_outputs(out, gen_33sat_cs(num_vars, clauses))
 
 
 def _crossval_partition(rng):

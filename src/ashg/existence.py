@@ -16,8 +16,7 @@ from itertools import combinations
 
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.instance import AshgInstance, Partition, iter_partitions
-from ashg.qbf import (E3CnfFDnf, QbfEA, fresh_primal_td, qbf_to_cnf,
-                      sat_treewidth)
+from ashg.qbf import QbfEA, fresh_primal_td, qbf_to_cnf, sat_treewidth
 from ashg.treedecomp import heuristic_decompose, root_tree, validate_td
 from ashg.verify import verify_bruteforce
 
@@ -29,7 +28,6 @@ NOT_EXISTS = "NotExists"
 class CsResult:
     verdict: str
     partition: Partition = None
-    method: str = ""
     stats: dict = field(default_factory=dict)
 
     @property
@@ -47,13 +45,13 @@ def solve_cs_bruteforce(inst, k=None, cap=10):
         raise ResourceLimitError("partition_enumeration_n", cap)
     for P in iter_partitions(inst.n):
         if verify_bruteforce(inst, P, max_size=k, cap=None).stable:
-            return CsResult(EXISTS, P, method="cs-brute")
-    return CsResult(NOT_EXISTS, method="cs-brute")
+            return CsResult(EXISTS, P)
+    return CsResult(NOT_EXISTS)
 
 
 @dataclass
 class CsEncoding:
-    formula: E3CnfFDnf
+    formula: QbfEA
     edge_var: dict  # (u,v) with u<v -> existential variable id
     vertex_var: dict  # u -> universal variable id
     gprime_adj: dict  # u -> set of neighbors after bag completion
@@ -198,9 +196,9 @@ def encode_cs(inst, td=None, max_terms=2_000_000):
     out, links = _all_out_terms(td, vertex_var, nxt)
     dnf += out
 
-    phi = E3CnfFDnf(tuple(range(1, len(edge_var) + 1)),
-                    tuple(vertex_var[u] for u in inst.vertices()) + links,
-                    tuple(cnf), tuple(dnf))
+    phi = QbfEA(tuple(range(1, len(edge_var) + 1)),
+                tuple(vertex_var[u] for u in inst.vertices()) + links,
+                tuple(dnf), tuple(cnf))
     return CsEncoding(phi, edge_var, vertex_var, adj)
 
 
@@ -224,22 +222,19 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
     The primal graph of its terms and transitivity clauses is decomposed
     afresh, and the formula is compiled along that decomposition to a CNF,
     the clauses included, whose satisfiability sat_treewidth decides.
-    collect, when a dict, receives the intermediate artifacts (ea is the
-    compiled formula with its clauses).
+    collect, when a dict, receives the intermediate artifacts (the
+    encoding, whose formula is the one compiled, the CNF and its
+    decomposition).
     """
     if inst.n == 0:
-        return CsResult(EXISTS, Partition([], 0), method="qbf")
+        return CsResult(EXISTS, Partition([], 0))
     inst = AshgInstance(inst.n, [e for e in inst.edges if e[2]])
     enc = encode_cs(inst, td, max_terms=max_terms)
-    phi = enc.formula
-    q = QbfEA(phi.x_vars, phi.y_vars, phi.dnf, phi.cnf)
-    cnf, psitd = qbf_to_cnf(q, fresh_primal_td(q))
+    cnf, psitd = qbf_to_cnf(enc.formula, fresh_primal_td(enc.formula))
     if collect is not None:
-        collect.update(encoding=enc, ea=q, cnf=cnf, cnf_td=psitd)
+        collect.update(encoding=enc, cnf=cnf, cnf_td=psitd)
     sat, model = sat_treewidth(cnf, psitd, max_states=max_states)
     if not sat:
-        return CsResult(NOT_EXISTS, method="qbf",
-                        stats={"cnf_clauses": len(cnf.clauses)})
+        return CsResult(NOT_EXISTS, stats={"cnf_clauses": len(cnf.clauses)})
     P = decode_partition(enc, inst, model)
-    return CsResult(EXISTS, P, method="qbf",
-                    stats={"cnf_clauses": len(cnf.clauses)})
+    return CsResult(EXISTS, P, stats={"cnf_clauses": len(cnf.clauses)})

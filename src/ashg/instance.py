@@ -7,8 +7,6 @@ Instances and partitions are immutable once built.
 
 from ashg.errors import ParseError, PreconditionError
 
-Coalition = frozenset
-
 # an instance holds one adjacency dict per vertex, so parse_instance
 # refuses a header that declares more vertices than this
 MAX_VERTICES = 1_000_000

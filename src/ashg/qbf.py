@@ -6,8 +6,7 @@ pipeline takes a two-level formula, exists x: CNF(x) and forall y:
 DNF(x, y), with terms of any width.  It is compiled along a decomposition
 of its primal graph to a CNF whose satisfiability is decided by a tree
 decomposition DP.  The x-only clauses ride along untouched and are
-conjoined to the compiled CNF.  split_to_3dnf rewrites a formula's terms
-to width 3, for callers that want that form.
+conjoined to the compiled CNF.
 """
 
 from dataclasses import dataclass
@@ -18,44 +17,22 @@ from ashg.treedecomp import TreeDecomposition, elimination_td, root_tree
 
 
 @dataclass(frozen=True)
-class E3CnfFDnf:
-    """exists x: 3-CNF(x), forall y: DNF(x, y)."""
+class QbfEA:
+    """exists x: CNF(x) and forall y: DNF(x, y)."""
     x_vars: tuple
     y_vars: tuple
-    cnf: tuple  # clauses (disjunctions), literals over x_vars only
     dnf: tuple  # terms (conjunctions), literals over x_vars + y_vars
+    cnf: tuple = ()  # clauses (disjunctions), literals over x_vars only
 
     def __post_init__(self):
         xs, ys = set(self.x_vars), set(self.y_vars)
         if xs & ys:
             raise ValueError("quantifier blocks share variables")
-        for cl in self.cnf:
-            if len(cl) > 3:
-                raise ValueError("CNF clause wider than 3")
-            if any(abs(l) not in xs for l in cl):
-                raise ValueError("CNF literal over a non-existential variable")
-        allv = xs | ys
-        for t in self.dnf:
-            if any(abs(l) not in allv for l in t):
-                raise ValueError("DNF literal over an unknown variable")
-
-
-@dataclass(frozen=True)
-class QbfEA:
-    """exists x: CNF(x) and forall y: DNF(x, y)."""
-    x_vars: tuple
-    y_vars: tuple
-    terms: tuple
-    cnf: tuple = ()  # clauses, literals over x_vars only
-
-    def __post_init__(self):
-        xs = set(self.x_vars)
         if any(abs(l) not in xs for cl in self.cnf for l in cl):
             raise ValueError("CNF literal over a non-existential variable")
-
-    @property
-    def is_3dnf(self):
-        return all(len(t) <= 3 for t in self.terms)
+        allv = xs | ys
+        if any(abs(l) not in allv for t in self.dnf for l in t):
+            raise ValueError("DNF literal over an unknown variable")
 
 
 @dataclass
@@ -90,8 +67,7 @@ def eval_bruteforce(q, cap=24):
     Returns (satisfiable, witness) where witness maps each existential
     variable to a bool when satisfiable.
     """
-    xs, ys, cnf = q.x_vars, q.y_vars, q.cnf
-    terms = q.dnf if isinstance(q, E3CnfFDnf) else q.terms
+    xs, ys = q.x_vars, q.y_vars
     if len(xs) + len(ys) > cap:
         raise ResourceLimitError("qbf_bruteforce_vars", cap)
 
@@ -110,8 +86,8 @@ def eval_bruteforce(q, cap=24):
             out.append((p, n))
         return out
 
-    cnf_masks = masks(cnf)
-    term_masks = masks(terms)
+    cnf_masks = masks(q.cnf)
+    term_masks = masks(q.dnf)
     for xbits in range(1 << len(xs)):
         if any(not (xbits & p) and not (n & ~xbits) for p, n in cnf_masks):
             continue
@@ -126,44 +102,6 @@ def eval_bruteforce(q, cap=24):
     return False, None
 
 
-def split_to_3dnf(q):
-    """Split every DNF term wider than 3 into terms of at most 3 literals
-    joined by fresh universal variables, along a trie of the terms'
-    literal sequences.
-
-    The terms sharing their first two literals l1, l2 become one term
-    (l1, l2, z) plus their remainders, each guarded by -z; below a guard,
-    the remainders sharing their first literal are factored out the same
-    way.  Each step is sound because z occurs positively once and
-    negatively only in its group: forall z. (A and z) or (-z and B1) or
-    ... or O equals (A and (B1 or ...)) or O.  The clauses pass through
-    untouched.  Returns (formula, None), a pair the benchmark's size
-    counters unpack.
-    """
-    nxt = _next_var(q.x_vars, q.y_vars)
-    first = nxt
-    out = []
-
-    def factor(guard, group):
-        nonlocal nxt
-        room = 3 - len(guard)
-        tails = {}
-        for t in group:
-            if len(t) <= room:
-                out.append(guard + t)
-            else:
-                tails.setdefault(t[:room - 1], []).append(t[room - 1:])
-        for prefix, members in tails.items():
-            z = nxt
-            nxt += 1
-            out.append(guard + prefix + (z,))
-            factor((-z,), members)
-
-    factor((), q.terms)
-    return QbfEA(tuple(q.x_vars), tuple(q.y_vars) + tuple(range(first, nxt)),
-                 tuple(out), q.cnf), None
-
-
 def fresh_primal_td(q):
     """Elimination-order decomposition of the primal graph of a DNF
     matrix and its clauses, each term and clause a clique of the graph.
@@ -172,7 +110,7 @@ def fresh_primal_td(q):
     with the fewest universal neighbours, then the one of lowest
     degree."""
     adj = {v: set() for v in set(q.x_vars) | set(q.y_vars)}
-    for t in q.terms + q.cnf:
+    for t in q.dnf + q.cnf:
         vs = {abs(lit) for lit in t}
         for v in vs:
             adj[v] |= vs
@@ -210,7 +148,7 @@ def qbf_to_cnf(q, td):
     The returned decomposition of the CNF has a bag per bag of td,
     holding the gates built on the way up from its children, except that
     a bag whose parent lacks only universal variables of it joins the
-    parent's.  Its stats describe td: its number of bags (bags), the sum
+    parent's, and its last bag is the root's.  Its stats describe td: its number of bags (bags), the sum
     over its bags B of 2^(universal variables in B) (sum_pow_univ) and
     the most existential and universal variables in one bag (t_exists,
     t_forall).
@@ -265,7 +203,6 @@ def qbf_to_cnf(q, td):
         index.setdefault(t, index.get(into.get(t)))
     out_td = TreeDecomposition(list(out_bags.values()),
                                [(index[a], index[b]) for a, b in out_edges])
-    out_td.root = index[root]
     # stats for the size-bound property, over the compiled decomposition
     univ = [len(b & c.universal) for b in td.bags]
     out_td.stats = {
@@ -291,7 +228,7 @@ class _Compile:
         self.universal = universal
         self.nxt = _next_var(q.x_vars, q.y_vars)
         self.clauses = []
-        terms = list(dict.fromkeys(q.terms))
+        terms = list(dict.fromkeys(q.dnf))
         self.vars_of, self.forall_of, self.res_of = [], [], []
         self.terms_of = {}
         for k, t in enumerate(terms):
@@ -425,8 +362,12 @@ class _Compile:
                 continue
             key = (z[m], here)
             if key not in made:
-                made[key] = self.blocked(z[m], [
-                    r for j, r in enumerate(residuals) if here >> j & 1])
+                picked = []  # the live residuals, lowest bit first
+                while here:
+                    low = here & -here
+                    picked.append(residuals[low.bit_length() - 1])
+                    here ^= low
+                made[key] = self.blocked(z[m], picked)
             out[m] = made[key]
         return deps, out
 
@@ -489,8 +430,8 @@ def sat_treewidth(cnf, td, max_states=20_000_000):
     A bag's states are held column-wise: slot j is one state, and bit j
     of cols[v] is the value of variable v in it, so a clause is checked on
     every state at once with a few integer operations.  Bags contained in
-    a neighbouring bag are absorbed first.  max_states caps the slots of
-    all the bags' tables together.
+    a neighbouring bag are absorbed first, and the DP runs up to the last
+    bag.  max_states caps the slots of all the bags' tables together.
     """
     bags, tree, root = _absorb(td)
     parent, order = root_tree(tree, root)
@@ -654,9 +595,10 @@ def _gather(col, n, pick):
 def _absorb(td):
     """Contract every tree edge whose one bag contains the other.
 
-    Returns (bags, tree, root) keyed by the surviving node ids."""
+    Returns (bags, tree, root) keyed by the surviving node ids, where root
+    is what the last bag was absorbed into."""
     bags = dict(enumerate(td.bags))
-    root = getattr(td, "root", 0)
+    root = len(td.bags) - 1
     into = {}
 
     def find(i):
@@ -693,14 +635,14 @@ def to_qdimacs(q):
     """Prenex exists-forall formula in QDIMACS layout: the clauses over x
     come first, then the DNF terms, one per line.  When there are clauses,
     a leading comment line "c clauses K" gives their number K."""
-    nv = max([0] + [abs(l) for t in q.terms for l in t]
+    nv = max([0] + [abs(l) for t in q.dnf for l in t]
              + list(q.x_vars) + list(q.y_vars))
     lines = ["c clauses %d" % len(q.cnf)] if q.cnf else []
-    lines.append("p cnf %d %d" % (nv, len(q.cnf) + len(q.terms)))
+    lines.append("p cnf %d %d" % (nv, len(q.cnf) + len(q.dnf)))
     if q.x_vars:
         lines.append("e " + " ".join(str(v) for v in q.x_vars) + " 0")
     if q.y_vars:
         lines.append("a " + " ".join(str(v) for v in q.y_vars) + " 0")
-    for t in q.cnf + q.terms:
+    for t in q.cnf + q.dnf:
         lines.append(" ".join(str(l) for l in t) + " 0")
     return "\n".join(lines) + "\n"

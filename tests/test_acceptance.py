@@ -15,10 +15,12 @@ from ashg.generators import (gadget_partition_blocks, gen_33sat_cs,
                              coloring_partition_3col)
 from ashg.instance import AshgInstance, Partition, is_blocking
 from ashg.kcore import greedy_2core, verify_kcore
-from ashg.qbf import eval_bruteforce
+from ashg.qbf import (eval_bruteforce, fresh_primal_td, qbf_to_cnf,
+                      sat_treewidth)
 from ashg.treedecomp import TreeDecomposition, validate_td
 from ashg.verify import (EDGESET, VALUE, verify_bruteforce, verify_tree,
                          verify_treewidth, verify_vertexcover)
+from test_qbf import random_formula
 
 
 def random_game(rng, max_n, max_w, density=0.4):
@@ -158,23 +160,15 @@ def test_acceptance_3_cs_pipeline_equivalence():
 
 
 def test_acceptance_4_qbf_engine():
-    import sys
-
-    sys.path.insert(0, "tests")
-    from test_qbf import carry, random_formula
-    from ashg.qbf import (fresh_primal_td, qbf_to_cnf, sat_treewidth,
-                          split_to_3dnf)
-
     start = time.time()
     rng = random.Random(777)
     for _ in range(500):
-        phi = random_formula(rng, max_vars=10)
-        q3, _ = split_to_3dnf(carry(phi))
-        cnf, ctd = qbf_to_cnf(q3, fresh_primal_td(q3))
+        q = random_formula(rng, max_vars=10)
+        cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
         s = ctd.stats
         bound = 24 * s["sum_pow_univ"] * (s["t_exists"] + s["t_forall"] + 1)
         assert len(cnf.clauses) <= bound
-        assert sat_treewidth(cnf, ctd)[0] == eval_bruteforce(phi)[0]
+        assert sat_treewidth(cnf, ctd)[0] == eval_bruteforce(q)[0]
     elapsed = time.time() - start
     assert elapsed < 120, "500 formulas took %.1fs" % elapsed
 

@@ -349,6 +349,17 @@ def test_crossval_bdd_reports_bad_weight(monkeypatch):
     assert case[0] == "bdd-csv"
 
 
+def test_crossval_cap_exit_3(runner, monkeypatch):
+    # exit 1 is kept for disagreements; a cap hit in a suite exits 3
+    def capped(values):
+        raise ResourceLimitError("vc_guesses", 1)
+
+    monkeypatch.setattr(cli, "gen_partition_csv", capped)
+    result = runner.invoke(main, ["crossval", "--trials", "1"])
+    assert result.exit_code == 3, result.output
+    assert "resource cap exceeded" in result.output
+
+
 def test_crossval_deterministic(runner):
     a = runner.invoke(main, ["crossval", "--trials", "3", "--seed", "7"])
     b = runner.invoke(main, ["crossval", "--trials", "3", "--seed", "7"])

@@ -101,6 +101,20 @@ def test_encode_satisfiability_independent_of_td():
         assert sats[0] == solve_cs_bruteforce(inst).exists
 
 
+def test_encode_clauses_have_three_literals():
+    # the transitivity clauses are the 3-CNF part of the formula
+    rng = random.Random(29)
+    seen = 0
+    for _ in range(50):
+        enc = encode_cs(random_game(rng, max_n=6))
+        xs = set(enc.formula.x_vars)
+        for cl in enc.formula.cnf:
+            assert len({abs(l) for l in cl}) == len(cl) == 3
+            assert {abs(l) for l in cl} <= xs
+        seen += len(enc.formula.cnf)
+    assert seen
+
+
 def test_decode_partition_ignores_unchosen_edges():
     inst = AshgInstance(3, [(0, 1, 1), (1, 2, 1)])
     enc = encode_cs(inst)
@@ -148,7 +162,7 @@ def test_solve_cs_collect_artifacts():
     collect = {}
     res = solve_cs(AshgInstance(2, [(0, 1, 1)]), collect=collect)
     assert res.verdict == EXISTS
-    assert {"encoding", "ea", "cnf", "cnf_td"} <= set(collect)
+    assert {"encoding", "cnf", "cnf_td"} <= set(collect)
 
 
 def test_solve_cs_k4_layer_counts():
@@ -159,16 +173,26 @@ def test_solve_cs_k4_layer_counts():
                             (1, 3, -2), (2, 3, 1)])
     collect = {}
     assert solve_cs(inst, collect=collect).verdict == EXISTS
-    enc, q = collect["encoding"], collect["ea"]
-    phi = enc.formula
-    assert (q.x_vars, q.y_vars, q.terms, q.cnf) == (
-        phi.x_vars, phi.y_vars, phi.dnf, phi.cnf)
+    enc = collect["encoding"]
+    q = enc.formula
     assert q.y_vars[:4] == tuple(enc.vertex_var[u] for u in range(4))
     assert len(q.y_vars) == 7
     stats = collect["cnf_td"].stats
     assert len(collect["cnf"].clauses) == 214
     assert stats["t_forall"] == 5
     assert stats["sum_pow_univ"] == 100
+
+
+def test_solve_cs_star_degree_nine():
+    # the centre's phi_u has about 26,000 terms
+    rng = random.Random(9)
+    inst = AshgInstance(10, [(0, v, rng.choice([-3, -2, -1, 1, 2, 3]))
+                             for v in range(1, 10)])
+    collect = {}
+    res = solve_cs(inst, collect=collect)
+    assert res.verdict == EXISTS
+    assert verify_treewidth(inst, res.partition).stable
+    assert len(collect["cnf"].clauses) == 2138
 
 
 def test_solve_cs_given_td_need_not_cover_zero_edges():

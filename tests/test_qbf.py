@@ -3,21 +3,14 @@ import random
 import pytest
 
 from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.qbf import (Cnf, E3CnfFDnf, QbfEA, eval_bruteforce,
-                      fresh_primal_td, qbf_to_cnf, sat_treewidth,
-                      split_to_3dnf, to_dimacs, to_qdimacs)
+from ashg.qbf import (Cnf, QbfEA, eval_bruteforce, fresh_primal_td,
+                      qbf_to_cnf, sat_treewidth, to_dimacs, to_qdimacs)
 from ashg.treedecomp import TreeDecomposition, elimination_td
 
 
-def carry(phi):
-    """The E3CnfFDnf formula with its clauses carried beside its terms."""
-    return QbfEA(phi.x_vars, phi.y_vars, phi.dnf, phi.cnf)
-
-
-def run_chain(phi):
-    """Full compilation pipeline verdict for an E3CnfFDnf formula."""
-    q3, _ = split_to_3dnf(carry(phi))
-    cnf, ctd = qbf_to_cnf(q3, fresh_primal_td(q3))
+def run_chain(q):
+    """Full compilation pipeline verdict for a formula."""
+    cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
     sat, model = sat_treewidth(cnf, ctd)
     return sat
 
@@ -38,25 +31,27 @@ def random_formula(rng, max_vars=10, max_width=5):
         for _ in range(rng.randint(1, 5)):
             picks = rng.sample(allv, min(len(allv), rng.randint(1, max_width)))
             dnf.append(tuple(v if rng.random() < 0.5 else -v for v in picks))
-    return E3CnfFDnf(xs, ys, tuple(cnf), tuple(dnf))
+    return QbfEA(xs, ys, tuple(dnf), tuple(cnf))
 
 
 def test_formula_validation():
     with pytest.raises(ValueError):
-        E3CnfFDnf((1,), (1,), (), ())  # shared variable
+        QbfEA((1,), (1,), ())  # shared variable
     with pytest.raises(ValueError):
-        E3CnfFDnf((1,), (2,), ((2,),), ())  # cnf over universal var
+        QbfEA((1,), (2,), (), ((2,),))  # clause over a universal variable
     with pytest.raises(ValueError):
-        E3CnfFDnf((1, 2, 3, 4), (), ((1, 2, 3, 4),), ())  # wide clause
+        QbfEA((1,), (), ((5,),))  # term over an unknown variable
     with pytest.raises(ValueError):
-        E3CnfFDnf((1,), (), (), ((5,),))  # unknown variable
+        QbfEA((1,), (2,), ((1, -2), (-3,)))  # the same, among good terms
+    # clauses and terms of any width are accepted
+    QbfEA((1, 2, 3, 4), (5,), ((1, 2, 3, 4, 5),), ((1, 2, 3, 4),))
 
 
 def test_eval_bruteforce_basics():
     # forall y (y) is false
-    assert eval_bruteforce(E3CnfFDnf((), (1,), (), ((1,),)))[0] is False
+    assert eval_bruteforce(QbfEA((), (1,), ((1,),)))[0] is False
     # exists x (x)
-    sat, wit = eval_bruteforce(E3CnfFDnf((1,), (), (), ((1,),)))
+    sat, wit = eval_bruteforce(QbfEA((1,), (), ((1,),)))
     assert sat and wit == {1: True}
     # exists x forall y: (x and y) or (x and not y)
     sat, wit = eval_bruteforce(QbfEA((1,), (2,), ((1, 2), (1, -2))))
@@ -66,40 +61,7 @@ def test_eval_bruteforce_basics():
 def test_eval_bruteforce_cap():
     xs = tuple(range(1, 30))
     with pytest.raises(ResourceLimitError):
-        eval_bruteforce(E3CnfFDnf(xs, (), (), ((1,),)), cap=24)
-
-
-def test_split_fixpoint_on_3dnf():
-    q = QbfEA((), (1, 2, 3), ((1, 2, 3),))
-    q3, _ = split_to_3dnf(q)
-    assert q3.is_3dnf and len(q3.terms) == 1
-    assert q3.y_vars == q.y_vars
-
-
-def test_split_width4_term():
-    q = QbfEA((), (1, 2, 3, 4), ((1, 2, 3, 4),))
-    q3, _ = split_to_3dnf(q)
-    assert q3.is_3dnf
-    assert len(q3.terms) == 2
-    assert len(q3.y_vars) == len(q.y_vars) + 1
-    assert eval_bruteforce(q3)[0] == eval_bruteforce(q)[0]
-
-
-def test_split_random_wide_terms():
-    rng = random.Random(77)
-    for _ in range(60):
-        nv = rng.randint(4, 8)
-        xs = tuple(range(1, rng.randint(0, 2) + 1))
-        ys = tuple(range(len(xs) + 1, nv + 1))
-        allv = xs + ys
-        terms = []
-        for _ in range(rng.randint(1, 3)):
-            picks = rng.sample(allv, rng.randint(2, min(6, len(allv))))
-            terms.append(tuple(v if rng.random() < 0.5 else -v for v in picks))
-        q = QbfEA(xs, ys, tuple(terms))
-        q3, _ = split_to_3dnf(q)
-        assert q3.is_3dnf
-        assert eval_bruteforce(q3)[0] == eval_bruteforce(q)[0]
+        eval_bruteforce(QbfEA(xs, (), ((1,),)), cap=24)
 
 
 def test_qbf_to_cnf_no_universals():
@@ -125,8 +87,8 @@ def test_qbf_to_cnf_compiles_wide_terms():
     rng = random.Random(66)
     wide = 0
     for _ in range(100):
-        q = carry(random_formula(rng, max_vars=10, max_width=6))
-        wide += any(len(t) > 3 for t in q.terms)
+        q = random_formula(rng, max_vars=10, max_width=6)
+        wide += any(len(t) > 3 for t in q.dnf)
         cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
         assert sat_treewidth(cnf, ctd)[0] == eval_bruteforce(q)[0]
     assert wide > 50
@@ -176,16 +138,15 @@ def test_sat_treewidth_random_3cnf():
 def test_end_to_end_random():
     rng = random.Random(1234)
     for _ in range(100):
-        phi = random_formula(rng, max_vars=8)
-        assert run_chain(phi) == eval_bruteforce(phi)[0]
+        q = random_formula(rng, max_vars=8)
+        assert run_chain(q) == eval_bruteforce(q)[0]
 
 
 def test_cnf_size_bound():
     rng = random.Random(55)
     for _ in range(40):
-        phi = random_formula(rng, max_vars=8)
-        q3, _ = split_to_3dnf(carry(phi))
-        cnf, ctd = qbf_to_cnf(q3, fresh_primal_td(q3))
+        q = random_formula(rng, max_vars=8)
+        cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
         s = ctd.stats
         bound = 24 * s["sum_pow_univ"] * (s["t_exists"] + s["t_forall"] + 1)
         assert len(cnf.clauses) <= bound
@@ -193,26 +154,16 @@ def test_cnf_size_bound():
 
 def test_carried_clause_decides_the_verdict():
     # exists x1: (-x1) and forall (): (x1) is false only through the clause
-    phi = E3CnfFDnf((1,), (), ((-1,),), ((1,),))
-    assert eval_bruteforce(phi)[0] is False
-    assert eval_bruteforce(carry(phi))[0] is False
-    assert run_chain(phi) is False
+    q = QbfEA((1,), (), ((1,),), ((-1,),))
+    assert eval_bruteforce(q)[0] is False
+    assert run_chain(q) is False
 
 
 def test_clause_variables_sharing_no_term_get_a_bag():
     # x1 and x2 share no term: only the clause's clique puts them in one bag
-    phi = E3CnfFDnf((1, 2), (3,), ((-1, -2),), ((1, 3), (1, -3), (2,)))
-    assert run_chain(phi) is eval_bruteforce(phi)[0] is True
-    q3, _ = split_to_3dnf(carry(phi))
-    assert any({1, 2} <= b for b in fresh_primal_td(q3).bags)
-
-
-def test_split_carries_clauses():
-    q = QbfEA((1,), (2, 3, 4), ((1, 2, 3, 4),), ((-1,),))
-    q3, _ = split_to_3dnf(q)
-    assert q3.cnf == q.cnf
-    with pytest.raises(ValueError):
-        QbfEA((1,), (2,), (), ((2,),))  # clause over a universal variable
+    q = QbfEA((1, 2), (3,), ((1, 3), (1, -3), (2,)), ((-1, -2),))
+    assert run_chain(q) is eval_bruteforce(q)[0] is True
+    assert any({1, 2} <= b for b in fresh_primal_td(q).bags)
 
 
 def test_to_dimacs():
