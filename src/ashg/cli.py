@@ -11,6 +11,7 @@ everything else goes to stderr.
 import random
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -350,9 +351,10 @@ def _crossval_chunk(args):
 
 @main.command()
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True,
-              help="Trials per suite.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100,
+              show_default=True, help="Trials per suite.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1,
+              show_default=True)
 def crossval(seed, trials, jobs):
     """Cross-validate every brute-forcible reduction; exit 1 on mismatch."""
     chunks = []
@@ -362,7 +364,6 @@ def crossval(seed, trials, jobs):
         for lo in range(0, trials, step):
             chunks.append((name, seeds[lo:lo + step]))
     if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_crossval_chunk, chunks))
     else:

@@ -600,7 +600,6 @@ def gen_33sat_cs(num_vars, clauses):
             appearances[abs(l)].append((idx, 1 if l > 0 else -1))
 
     b = GraphBuilder()
-    gadget_sets = {}  # owner vertex/pair -> gadget ids, for the decomposition
 
     y = {}
     z = {}
@@ -665,79 +664,50 @@ def gen_33sat_cs(num_vars, clauses):
 
     # gadget attachments
     for i in range(1, total_vars + 1):
-        gadget_sets[("var", i)] = attach_gadget(
-            b, list(y[i]), rho, 9, neighborhood=True, prefix=("Hv", i))
+        attach_gadget(b, list(y[i]), rho, 9, neighborhood=True,
+                      prefix=("Hv", i))
     for key in pairs:
         i, j = key
         ell = appearances[i][j][0]
         for kk in range(m + 2):
-            gadget_sets[("s", i, j, kk)] = attach_gadget(
-                b, [s[key][kk]], rho, 9, neighborhood=True,
-                prefix=("Hs", i, j, kk))
+            attach_gadget(b, [s[key][kk]], rho, 9, neighborhood=True,
+                          prefix=("Hs", i, j, kk))
         for kk in range(m + 1):
-            gadget_sets[("sb", i, j, kk)] = attach_gadget(
-                b, [sb[key][kk]], rho, 10, neighborhood=True,
-                prefix=("Hsb", i, j, kk))
+            attach_gadget(b, [sb[key][kk]], rho, 10, neighborhood=True,
+                          prefix=("Hsb", i, j, kk))
             bit = ell >> kk & 1
-            gadget_sets[("u", i, j, kk)] = attach_gadget(
-                b, [u[key][kk]], rho, 10 if bit == 0 else 9,
-                neighborhood=True, prefix=("Hu", i, j, kk))
-            gadget_sets[("v", i, j, kk)] = attach_gadget(
-                b, [v[key][kk]], rho, 9 if bit == 0 else 10,
-                neighborhood=True, prefix=("Hw", i, j, kk))
-        gadget_sets[("z", i, j)] = attach_gadget(
-            b, [z[i][j]], rho, 10, neighborhood=True, prefix=("Hz", i, j))
+            attach_gadget(b, [u[key][kk]], rho, 10 if bit == 0 else 9,
+                          neighborhood=True, prefix=("Hu", i, j, kk))
+            attach_gadget(b, [v[key][kk]], rho, 9 if bit == 0 else 10,
+                          neighborhood=True, prefix=("Hw", i, j, kk))
+        attach_gadget(b, [z[i][j]], rho, 10, neighborhood=True,
+                      prefix=("Hz", i, j))
     for kk in range(m + 1):
         for name, vert in (("p", p[kk]), ("q", q[kk]), ("r", r[kk])):
-            gadget_sets[(name, kk)] = attach_gadget(
-                b, [vert], rho, 10, neighborhood=True, prefix=("Hp", name, kk))
+            attach_gadget(b, [vert], rho, 10, neighborhood=True,
+                          prefix=("Hp", name, kk))
 
     inst = b.instance(name="33sat-cs")
 
-    # path decomposition: block 0 holds the selection vertices and their
-    # gadgets, block i everything belonging to variable i
-    b0 = set()
-    for kk in range(m + 1):
-        b0.update((p[kk], q[kk], r[kk]))
-        for name in ("p", "q", "r"):
-            b0.update(gadget_sets[(name, kk)])
-    blocks = {}
-    for i in range(1, total_vars + 1):
-        blk = set(y[i]) | set(z[i]) | set(gadget_sets[("var", i)])
-        for j in range(len(appearances[i])):
-            key = (i, j)
-            blk.update(s[key])
-            blk.update(sb[key])
-            blk.update(t[key])
-            blk.update(u[key])
-            blk.update(v[key])
-            for kk in range(m + 2):
-                blk.update(gadget_sets[("s", i, j, kk)])
-            for kk in range(m + 1):
-                blk.update(gadget_sets[("sb", i, j, kk)])
-                blk.update(gadget_sets[("u", i, j, kk)])
-                blk.update(gadget_sets[("v", i, j, kk)])
-            blk.update(gadget_sets[("z", i, j)])
-        blocks[i] = blk
-    # consecutive variable blocks touch only through the next variable's
-    # first z and first u/v chain vertices (and the gadgets attached to
-    # them), so the shared bag needs just that interface, not the block
-    def interface(i):
-        face = {z[i][0]}
-        face.update(gadget_sets[("z", i, 0)])
-        for kk in range(m + 1):
-            face.add(u[(i, 0)][kk])
-            face.add(v[(i, 0)][kk])
-            face.update(gadget_sets[("u", i, 0, kk)])
-            face.update(gadget_sets[("v", i, 0, kk)])
-        return face
+    # path decomposition: block 0 holds p, q, r and their gadgets, block i
+    # the vertices of variable i and their gadgets, whose names carry i in
+    # their second field.  The z chain and the u/v chains run over the
+    # pairs in variable order, so an edge leaving block i meets block 0
+    # or block i +- 1, and bag i adds to blocks 0 and i the vertices of
+    # block i + 1 with a neighbour in block i
+    def block(name):
+        if isinstance(name[0], tuple):  # gadget vertex (prefix, k)
+            name = name[0]
+        return 0 if name[0] in ("p", "q", "r", "Hp") else name[1]
 
-    bags = []
-    for i in range(1, total_vars + 1):
-        bag = b0 | blocks[i]
-        if i + 1 <= total_vars:
-            bag |= interface(i + 1)
-        bags.append(bag)
+    owner = [block(name) for name in b.names]
+    blocks = [set() for _ in range(total_vars + 1)]
+    for vid, i in enumerate(owner):
+        blocks[i].add(vid)
+    bags = [blocks[0] | blocks[i] | {w for a in blocks[i]
+                                     for w in b.neighbors(a)
+                                     if owner[w] == i + 1}
+            for i in range(1, total_vars + 1)]
     td = TreeDecomposition(bags, [(i, i + 1) for i in range(len(bags) - 1)])
     assignment = _sat_answer(num_vars, clauses)
     return GenResult(inst, td=td,

@@ -4,6 +4,8 @@ PACE 2017 ``.td`` files are 1-based; everything internal is 0-based, with
 conversion happening only in read_td/emit_td.
 """
 
+import heapq
+
 from ashg.errors import ParseError
 from ashg.instance import parse_ints
 
@@ -98,7 +100,6 @@ def _min_degree_order(adj, marked=frozenset()):
     """Eliminate first the vertex with the fewest neighbours in marked,
     then the one of lowest degree (plain min-degree when marked is
     empty)."""
-    import heapq
 
     def key(u):
         nb = adj[u]

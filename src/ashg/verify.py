@@ -15,6 +15,10 @@ from ashg.treedecomp import heuristic_decompose, root_tree, validate_td
 STABLE = "Stable"
 UNSTABLE = "Unstable"
 
+# verify_vertexcover makes 2^|S| guesses over a cover S, so covers larger
+# than this raise ResourceLimitError
+MAX_COVER = 20
+
 
 @dataclass
 class VerificationResult:
@@ -221,18 +225,26 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
 
 
 def min_vertex_cover(inst):
-    """Exact minimum vertex cover by branching on an uncovered edge."""
+    """Exact minimum vertex cover: try budgets 0, 1, ..., MAX_COVER in turn,
+    branching on the first uncovered edge, u before v."""
     edges = [(u, v) for u, v, _ in inst.edges]
 
-    def best(cover):
+    def search(cover, budget):
         for u, v in edges:
             if u not in cover and v not in cover:
-                a = best(cover | {u})
-                b = best(cover | {v})
-                return a if len(a) <= len(b) else b
+                if budget == 0:
+                    return None
+                found = search(cover | {u}, budget - 1)
+                if found is None:
+                    found = search(cover | {v}, budget - 1)
+                return found
         return cover
 
-    return best(frozenset())
+    for budget in range(MAX_COVER + 1):
+        cover = search(frozenset(), budget)
+        if cover is not None:
+            return cover
+    raise ResourceLimitError("vertex_cover", MAX_COVER)
 
 
 def verify_vertexcover(inst, P, S=None):
@@ -246,6 +258,8 @@ def verify_vertexcover(inst, P, S=None):
         S = min_vertex_cover(inst)
     else:
         S = frozenset(S)
+        if len(S) > MAX_COVER:
+            raise ResourceLimitError("vertex_cover", MAX_COVER)
         for u, v, _ in inst.edges:
             if u not in S and v not in S:
                 raise PreconditionError("S is not a vertex cover: misses (%d,%d)" % (u, v))

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import ashg
-from ashg import cli
+from ashg import cli, verify
 from ashg.cli import main
 from ashg.errors import ResourceLimitError
 from ashg.generators import GenResult
@@ -116,6 +116,17 @@ def test_verify_resource_cap_exit(runner, tmp_path):
     write(p, "\n".join(str(i) for i in range(25)) + "\n")
     result = runner.invoke(main, ["verify", str(g), str(p), "--cap", "100"])
     assert result.exit_code == 3
+
+
+def test_verify_vc_cover_cap_exit_3(runner, tmp_path, monkeypatch):
+    monkeypatch.setattr(verify, "MAX_COVER", 2)
+    g = tmp_path / "matching.graph"
+    write(g, emit_instance(AshgInstance(6, [(0, 1, 1), (2, 3, 1), (4, 5, 1)])))
+    p = tmp_path / "p.partition"
+    write(p, "0 1\n2 3\n4 5\n")
+    result = runner.invoke(main, ["verify", str(g), str(p), "--algo", "vc"])
+    assert result.exit_code == 3, result.output
+    assert "vertex_cover" in result.output
 
 
 def test_verify_parse_error(runner, tmp_path):
@@ -364,3 +375,18 @@ def test_crossval_deterministic(runner):
     a = runner.invoke(main, ["crossval", "--trials", "3", "--seed", "7"])
     b = runner.invoke(main, ["crossval", "--trials", "3", "--seed", "7"])
     assert a.output == b.output
+
+
+@pytest.mark.parametrize("option", ["--trials", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_crossval_rejects_non_positive_counts(runner, option, value):
+    result = runner.invoke(main, ["crossval", option, value])
+    assert result.exit_code == 2, result.output
+
+
+def test_crossval_jobs_match_single_process(runner):
+    args = ["crossval", "--trials", "3", "--seed", "7"]
+    one = runner.invoke(main, args + ["--jobs", "1"])
+    two = runner.invoke(main, args + ["--jobs", "2"])
+    assert one.exit_code == two.exit_code == 0
+    assert two.output == one.output

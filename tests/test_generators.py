@@ -269,9 +269,18 @@ def test_33sat_structure():
     assert len(gen.info["padded_clauses"]) == 2 ** m
     assert validate_td(gen.instance, gen.td) is None
     assert gen.td.width <= gen.info["width_bound"]
+    assert gen.td.width == 369
     assignment = gen.info["assignment"]
     for c in [(1, 2), (-1, 3), (-2, -3)]:
         assert any(assignment[abs(l)] == (l > 0) for l in c)
+
+
+def test_33sat_two_variable_decomposition():
+    gen = gen_33sat_cs(2, [(1, 2), (-1, -2)])
+    assert gen.expected is True
+    assert validate_td(gen.instance, gen.td) is None
+    assert len(gen.td.bags) == gen.info["total_vars"]
+    assert gen.td.width == 203
 
 
 def test_33sat_unsat_formula():

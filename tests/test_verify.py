@@ -7,6 +7,7 @@ import pytest
 
 import ashg
 
+from ashg import verify
 from ashg.errors import (PreconditionError, ResourceLimitError,
                          WrongAlgorithmError)
 from ashg.instance import AshgInstance, Partition, is_blocking
@@ -190,6 +191,21 @@ def test_min_vertex_cover():
     star = AshgInstance(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
     assert min_vertex_cover(star) == {0}
     assert min_vertex_cover(AshgInstance(3, [])) == frozenset()
+
+
+def test_min_vertex_cover_caps_cover_size(monkeypatch):
+    # a matching of MAX_COVER + 1 edges has no cover within the cap
+    monkeypatch.setattr(verify, "MAX_COVER", 3)
+    fits = AshgInstance(6, [(0, 1, 1), (2, 3, 1), (4, 5, 1)])
+    assert min_vertex_cover(fits) == {0, 2, 4}
+    over = AshgInstance(8, [(0, 1, 1), (2, 3, 1), (4, 5, 1), (6, 7, 1)])
+    with pytest.raises(ResourceLimitError):
+        min_vertex_cover(over)
+    with pytest.raises(ResourceLimitError):
+        verify_vertexcover(over, Partition.singletons(8))
+    # a given cover larger than the cap would take 2^|S| guesses
+    with pytest.raises(ResourceLimitError):
+        verify_vertexcover(fits, Partition.singletons(6), S={0, 1, 2, 4})
 
 
 def test_vertexcover_edgeless():
