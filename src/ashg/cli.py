@@ -25,7 +25,7 @@ from ashg.generators import (gen_33sat_cs, gen_3col_kcs, gen_bdd_csv,
 from ashg.instance import (emit_instance, emit_partition, parse_instance,
                            parse_partition)
 from ashg.kcore import greedy_2core, verify_kcore
-from ashg.qbf import to_dimacs, to_qdimacs
+from ashg.qbf import fresh_primal_td, qbf_to_cnf, to_dimacs, to_qdimacs
 from ashg.treedecomp import emit_td, heuristic_decompose, read_td
 from ashg.verify import (EDGESET, VALUE, verify_bruteforce, verify_tree,
                          verify_treewidth, verify_vertexcover)
@@ -131,9 +131,11 @@ def verify(instance_path, partition_path, algo, k, td_path, mode, cap,
 @click.option("--cap", type=int, default=10, show_default=True,
               help="Vertex cap for --algo brute.")
 @click.option("--max-terms", type=int, default=2_000_000, show_default=True)
-@click.option("--max-states", type=int, default=20_000_000, show_default=True)
+@click.option("--max-states", type=int, default=20_000_000, show_default=True,
+              help="Cap on the DP's states held at once, each counted as 1 "
+                   "plus its 64-bit words (qbf).")
 @click.option("--emit-dimacs", type=click.Path(), default=None,
-              help="Write the compiled CNF (qbf only).")
+              help="Compile the formula to CNF and write it (qbf only).")
 @click.option("--emit-qdimacs", type=click.Path(), default=None,
               help="Write the formula: clauses, then terms (qbf only).")
 def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
@@ -156,19 +158,22 @@ def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
     if emit_qdimacs and "encoding" in collect:
         with open(emit_qdimacs, "w") as fh:
             fh.write(to_qdimacs(collect["encoding"].formula))
-    if emit_dimacs and "cnf" in collect:
+    if emit_dimacs and "encoding" in collect:
+        q = collect["encoding"].formula
         with open(emit_dimacs, "w") as fh:
-            fh.write(to_dimacs(collect["cnf"]))
+            fh.write(to_dimacs(qbf_to_cnf(q, fresh_primal_td(q))[0]))
     _report("solve --algo %s" % algo, res.verdict, time.time() - start,
             res.stats)
     if not res.exists:
         sys.exit(1)
-    if k is not None:
-        check = verify_kcore(inst, res.partition, k, cap=None)
-    else:
-        check = verify_treewidth(inst, res.partition)
-    if not check.stable:
-        _fail("internal: solver returned a partition that fails verification", 2)
+    if algo == "brute":  # solve_cs certifies its own answers
+        if k is not None:
+            check = verify_kcore(inst, res.partition, k, cap=None)
+        else:
+            check = verify_treewidth(inst, res.partition)
+        if not check.stable:
+            _fail("internal: solver returned a partition that fails "
+                  "verification", 2)
     click.echo(emit_partition(res.partition), nl=False)
 
 

@@ -16,9 +16,9 @@ from itertools import combinations
 
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.instance import AshgInstance, Partition, iter_partitions
-from ashg.qbf import QbfEA, fresh_primal_td, qbf_to_cnf, sat_treewidth
+from ashg.qbf import QbfEA, decide_ea
 from ashg.treedecomp import heuristic_decompose, root_tree, validate_td
-from ashg.verify import verify_bruteforce
+from ashg.verify import verify_bruteforce, verify_treewidth
 
 EXISTS = "Exists"
 NOT_EXISTS = "NotExists"
@@ -218,23 +218,26 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
     A zero-weight edge changes neither utilities nor stability, so it is
     dropped first, and td need cover only the non-zero edges.  encode_cs
     builds the formula over the bag-completed graph of td, or, without td,
-    of a decomposition of the graph of the non-zero edges.
-    The primal graph of its terms and transitivity clauses is decomposed
-    afresh, and the formula is compiled along that decomposition to a CNF,
-    the clauses included, whose satisfiability sat_treewidth decides.
-    collect, when a dict, receives the intermediate artifacts (the
-    encoding, whose formula is the one compiled, the CNF and its
-    decomposition).
+    of a decomposition of the graph of the non-zero edges, and decide_ea
+    decides it.  An Exists answer is certified by verify_treewidth on the
+    same decomposition, and a partition that fails raises RuntimeError.
+    stats holds the DP's sizes: t_exists, t_forall and states.  collect,
+    when a dict, receives the encoding.
     """
     if inst.n == 0:
         return CsResult(EXISTS, Partition([], 0))
     inst = AshgInstance(inst.n, [e for e in inst.edges if e[2]])
+    if td is None:
+        td = heuristic_decompose(inst)
     enc = encode_cs(inst, td, max_terms=max_terms)
-    cnf, psitd = qbf_to_cnf(enc.formula, fresh_primal_td(enc.formula))
     if collect is not None:
-        collect.update(encoding=enc, cnf=cnf, cnf_td=psitd)
-    sat, model = sat_treewidth(cnf, psitd, max_states=max_states)
+        collect["encoding"] = enc
+    stats = {}
+    sat, model = decide_ea(enc.formula, max_states, stats)
     if not sat:
-        return CsResult(NOT_EXISTS, stats={"cnf_clauses": len(cnf.clauses)})
+        return CsResult(NOT_EXISTS, stats=stats)
     P = decode_partition(enc, inst, model)
-    return CsResult(EXISTS, P, stats={"cnf_clauses": len(cnf.clauses)})
+    if not verify_treewidth(inst, P, td=td).stable:
+        raise RuntimeError("partition %r is not core stable"
+                           % [sorted(b) for b in P.blocks])
+    return CsResult(EXISTS, P, stats=stats)

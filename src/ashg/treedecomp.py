@@ -96,10 +96,11 @@ def _eliminate(adj, u):
     return nb
 
 
-def _min_degree_order(adj, marked=frozenset()):
-    """Eliminate first the vertex with the fewest neighbours in marked,
-    then the one of lowest degree (plain min-degree when marked is
-    empty)."""
+def min_degree_order(adj, marked=frozenset()):
+    """(vertex, its neighbours when eliminated) per step of the
+    elimination order of the graph adj, which is consumed.  The vertex
+    with the fewest neighbours in marked goes first, then the one of
+    lowest degree (plain min-degree when marked is empty)."""
 
     def key(u):
         nb = adj[u]
@@ -149,7 +150,7 @@ def elimination_td(adj, marked=frozenset()):
     of its neighbours, from the min-degree elimination order; a non-empty
     marked set makes the vertex with the fewest neighbours in marked go
     first.  adj is consumed."""
-    return _from_elimination(_min_degree_order(adj, frozenset(marked)))
+    return _from_elimination(min_degree_order(adj, frozenset(marked)))
 
 
 def heuristic_decompose(inst):

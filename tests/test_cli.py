@@ -1,5 +1,6 @@
 import os
 import random
+import resource
 import subprocess
 import sys
 
@@ -7,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import ashg
-from ashg import cli, verify
+from ashg import cli, existence, verify
 from ashg.cli import main
 from ashg.errors import ResourceLimitError
 from ashg.generators import GenResult
@@ -15,6 +16,7 @@ from ashg.instance import (AshgInstance, Partition, emit_instance,
                            parse_instance, parse_partition)
 from ashg.treedecomp import read_td, validate_td
 from ashg.verify import verify_tree
+from test_existence import grid
 
 TRIANGLE = "p ashg 3 3\ne 0 1 1\ne 1 2 1\ne 0 2 1\n"
 SINGLETONS3 = "0\n1\n2\n"
@@ -181,11 +183,64 @@ def test_solve_certifies_long_path_quickly(tmp_path):
     assert verify_tree(inst, P).stable
 
 
+# a solve run in a fresh process that reports its own peak resident set on
+# the last line of stderr
+_MEASURED = """
+import resource, sys
+from ashg.cli import main
+try:
+    main()
+finally:
+    sys.stderr.write("\\npeak_rss_kb %d\\n"
+                     % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def solve_measured(tmp_path, inst, *options):
+    """(exit code, stderr, peak RSS in MB) of solve on inst, run under a
+    1 GB address-space limit so that a run out of bounds fails fast."""
+    g = tmp_path / "game.graph"
+    write(g, emit_instance(inst))
+    src = os.path.dirname(os.path.dirname(ashg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    result = subprocess.run(
+        [sys.executable, "-c", _MEASURED, "solve", str(g)] + list(options),
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=limit)
+    last = result.stderr.split()[-2:]
+    peak = int(last[1]) / 1024 if last[:1] == ["peak_rss_kb"] else None
+    return result.returncode, result.stderr, peak
+
+
+def test_solve_grid_within_memory_bound(tmp_path):
+    # grid 3x8's DP states take a few MB; the bound leaves room for the
+    # interpreter and click
+    code, err, peak = solve_measured(tmp_path, grid(3, 8))
+    assert code == 0, err
+    assert "t_forall: 13" in err
+    assert peak < 64, "peak RSS %.0f MB" % peak
+
+
+def test_solve_state_cap_exit_3_within_memory_bound(tmp_path):
+    # the cap counts the words of the states held, so it trips before the
+    # run grows
+    code, err, peak = solve_measured(tmp_path, grid(3, 8),
+                                     "--max-states", "30000")
+    assert code == 3, err
+    assert "ea_dp_states" in err
+    assert peak < 64, "peak RSS %.0f MB" % peak
+
+
 def test_solve_certification_cap_exit_3(runner, tmp_path, monkeypatch):
-    def capped(inst, P):
+    def capped(inst, P, td=None):
         raise ResourceLimitError("dp_states", 1)
 
-    monkeypatch.setattr(cli, "verify_treewidth", capped)
+    # solve_cs certifies its Exists answers itself
+    monkeypatch.setattr(existence, "verify_treewidth", capped)
     g = tmp_path / "edge.graph"
     write(g, "p ashg 2 1\ne 0 1 1\n")
     result = runner.invoke(main, ["solve", str(g)])

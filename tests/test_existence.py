@@ -1,14 +1,16 @@
 import random
+import time
 import warnings
 
 import pytest
 
+from ashg import existence, qbf
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.existence import (EXISTS, NOT_EXISTS, decode_partition, encode_cs,
                             solve_cs, solve_cs_bruteforce)
-from ashg.generators import gen_gadget
+from ashg.generators import gen_eapartition_cs, gen_gadget
 from ashg.instance import AshgInstance, Partition
-from ashg.qbf import QbfEA, eval_bruteforce
+from ashg.qbf import QbfEA, eval_bruteforce, fresh_primal_td, qbf_to_cnf
 from ashg.treedecomp import TreeDecomposition, heuristic_decompose
 from ashg.verify import verify_bruteforce, verify_treewidth
 
@@ -162,7 +164,13 @@ def test_solve_cs_collect_artifacts():
     collect = {}
     res = solve_cs(AshgInstance(2, [(0, 1, 1)]), collect=collect)
     assert res.verdict == EXISTS
-    assert {"encoding", "cnf", "cnf_td"} <= set(collect)
+    assert set(collect) == {"encoding"}
+
+
+def compile_encoding(collect):
+    """The CNF and its decomposition compiled from collect's encoding."""
+    q = collect["encoding"].formula
+    return qbf_to_cnf(q, fresh_primal_td(q))
 
 
 def test_solve_cs_k4_layer_counts():
@@ -177,10 +185,19 @@ def test_solve_cs_k4_layer_counts():
     q = enc.formula
     assert q.y_vars[:4] == tuple(enc.vertex_var[u] for u in range(4))
     assert len(q.y_vars) == 7
-    stats = collect["cnf_td"].stats
-    assert len(collect["cnf"].clauses) == 214
-    assert stats["t_forall"] == 5
-    assert stats["sum_pow_univ"] == 100
+    cnf, cnf_td = compile_encoding(collect)
+    assert len(cnf.clauses) == 214
+    assert cnf_td.stats["t_forall"] == 5
+    assert cnf_td.stats["sum_pow_univ"] == 100
+
+
+def test_solve_cs_k4_dp_sizes():
+    # the DP's bags on the K4 game: 6 edge variables, the 4 y and 3 links
+    inst = AshgInstance(4, [(0, 1, 2), (0, 2, -1), (0, 3, 1), (1, 2, 1),
+                            (1, 3, -2), (2, 3, 1)])
+    res = solve_cs(inst)
+    assert res.verdict == EXISTS
+    assert res.stats == {"t_exists": 5, "t_forall": 5, "states": 63}
 
 
 def test_solve_cs_star_degree_nine():
@@ -192,7 +209,7 @@ def test_solve_cs_star_degree_nine():
     res = solve_cs(inst, collect=collect)
     assert res.verdict == EXISTS
     assert verify_treewidth(inst, res.partition).stable
-    assert len(collect["cnf"].clauses) == 2138
+    assert len(compile_encoding(collect)[0].clauses) == 2138
 
 
 def test_solve_cs_given_td_need_not_cover_zero_edges():
@@ -230,16 +247,22 @@ def test_solve_cs_weighted_paths_certified(n):
         assert verify_treewidth(inst, res.partition).stable
 
 
-def ladder(cols, seed=1):
-    """2 x cols grid, row-major ids, every weight drawn from +-1..3."""
+def grid(rows, cols, seed=1):
+    """rows x cols grid, row-major ids, every weight drawn from +-1..3,
+    the right edge before the down edge."""
     rng = random.Random(seed)
     edges = []
-    for u in range(2 * cols):
+    for u in range(rows * cols):
         if u % cols + 1 < cols:
             edges.append((u, u + 1, rng.choice([-3, -2, -1, 1, 2, 3])))
-        if u < cols:
+        if u < (rows - 1) * cols:
             edges.append((u, u + cols, rng.choice([-3, -2, -1, 1, 2, 3])))
-    return AshgInstance(2 * cols, edges)
+    return AshgInstance(rows * cols, edges)
+
+
+def ladder(cols, seed=1):
+    """2 x cols grid."""
+    return grid(2, cols, seed)
 
 
 def caterpillar(spine, seed=1):
@@ -257,7 +280,7 @@ def t_forall(inst):
     res = solve_cs(inst, collect=collect)
     assert res.verdict == EXISTS
     assert verify_treewidth(inst, res.partition).stable
-    return collect["cnf_td"].stats["t_forall"]
+    return compile_encoding(collect)[1].stats["t_forall"]
 
 
 def test_solve_cs_t_forall_flat_on_ladders():
@@ -270,6 +293,54 @@ def test_solve_cs_t_forall_flat_on_ladders():
     res = solve_cs(inst)
     assert res.verdict == EXISTS
     assert verify_treewidth(inst, res.partition).stable
+
+
+def test_solve_cs_dp_t_forall_flat_on_ladders():
+    # the DP's own bags, on the plain min-degree order of the formula
+    for cols in (8, 16, 32):
+        res = solve_cs(ladder(cols))
+        assert res.verdict == EXISTS
+        assert res.stats["t_exists"] == 5
+        assert res.stats["t_forall"] == 7
+        assert res.stats["states"] == {8: 823, 16: 1796, 32: 3783}[cols]
+
+
+def test_solve_cs_decides_grids_and_eapartition():
+    # solve_cs certifies every Exists itself; about 2 s on a 2-vCPU host
+    start = time.time()
+    for rows, cols in [(3, 3), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (4, 4)]:
+        inst = grid(rows, cols)
+        res = solve_cs(inst)
+        assert res.verdict == EXISTS, (rows, cols)
+        assert verify_treewidth(inst, res.partition).stable
+    ea = gen_eapartition_cs([1], [1])
+    assert ea.expected is False
+    assert solve_cs(ea.instance).verdict == NOT_EXISTS
+    elapsed = time.time() - start
+    assert elapsed < 60, "grids and eapartition took %.1fs" % elapsed
+
+
+def test_solve_cs_does_not_compile_to_cnf(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the CNF route was called")
+
+    for name in ("qbf_to_cnf", "fresh_primal_td", "sat_treewidth"):
+        monkeypatch.setattr(qbf, name, boom)
+        monkeypatch.setattr(existence, name, boom, raising=False)
+    inst = AshgInstance(4, [(0, 1, 2), (1, 2, -1), (2, 3, 1), (0, 3, 1)])
+    assert solve_cs(inst).verdict == EXISTS
+    assert solve_cs(gen_gadget(rho=-16).instance).verdict == NOT_EXISTS
+
+
+def test_solve_cs_certifies_in_the_library(monkeypatch):
+    # a partition the certificate rejects is an error, not an answer
+    def rejects(inst, P, td=None):
+        return verify_bruteforce(inst, Partition([[u] for u in range(inst.n)],
+                                                 inst.n))
+
+    monkeypatch.setattr(existence, "verify_treewidth", rejects)
+    with pytest.raises(RuntimeError):
+        solve_cs(AshgInstance(2, [(0, 1, 1)]))
 
 
 def test_solve_cs_t_forall_flat_on_caterpillars():

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.qbf import (Cnf, QbfEA, eval_bruteforce, fresh_primal_td,
-                      qbf_to_cnf, sat_treewidth, to_dimacs, to_qdimacs)
+from ashg.qbf import (Cnf, QbfEA, decide_ea, eval_bruteforce,
+                      fresh_primal_td, qbf_to_cnf, sat_treewidth, to_dimacs,
+                      to_qdimacs)
 from ashg.treedecomp import TreeDecomposition, elimination_td
 
 
@@ -164,6 +165,85 @@ def test_clause_variables_sharing_no_term_get_a_bag():
     q = QbfEA((1, 2), (3,), ((1, 3), (1, -3), (2,)), ((-1, -2),))
     assert run_chain(q) is eval_bruteforce(q)[0] is True
     assert any({1, 2} <= b for b in fresh_primal_td(q).bags)
+
+
+def model_holds(q, model):
+    """True when model satisfies q's clauses and every y makes a term true."""
+    if any(not any(model[abs(l)] == (l > 0) for l in cl) for cl in q.cnf):
+        return False
+    for ybits in range(1 << len(q.y_vars)):
+        value = dict(model)
+        value.update((y, bool(ybits >> i & 1)) for i, y in enumerate(q.y_vars))
+        if not any(all(value[abs(l)] == (l > 0) for l in t) for t in q.dnf):
+            return False
+    return True
+
+
+def test_decide_ea_matches_bruteforce():
+    rng = random.Random(777)
+    verdicts = set()
+    for _ in range(2000):
+        q = random_formula(rng, max_vars=10)
+        sat, model = decide_ea(q)
+        assert sat == eval_bruteforce(q)[0], q
+        if sat:
+            assert set(model) == set(q.x_vars)
+            assert model_holds(q, model), q
+        else:
+            assert model is None
+        verdicts.add(sat)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q, sat", [
+    (QbfEA((1,), (2,), ((),)), True),  # an empty term is true
+    (QbfEA((1,), (2,), ((), (2,)), ((-1,),)), True),
+    (QbfEA((1,), (2,), ((),), ((1,), (-1,))), False),  # clauses still count
+    (QbfEA((1,), (2,), ()), False),  # no terms
+    (QbfEA((), (), ()), False),
+    (QbfEA((), (), ((),)), True),
+    (QbfEA((1, 2), (), ((1, -2),), ((1, 2),)), True),  # no universals
+    (QbfEA((1, 2), (), ((1, -2),), ((-1,),)), False),
+    (QbfEA((), (1, 2), ((1,), (-1, 2), (-1, -2))), True),  # no existentials
+    (QbfEA((), (1, 2), ((1,), (-1, 2))), False),
+    (QbfEA((1,), (2,), ((1, 2), (1, -2)), ((),)), False),  # an empty clause
+    (QbfEA((1,), (2,), ((1, 2), (1, -2)), ((1, -1),)), True),  # tautology
+    (QbfEA((1,), (2,), ((1, -1, 2), (2,), (-2,))), True),  # contradiction
+    (QbfEA((1,), (2,), ((1, -1), (2,))), False),
+])
+def test_decide_ea_edge_cases(q, sat):
+    assert eval_bruteforce(q)[0] is sat
+    got, model = decide_ea(q)
+    assert got is sat
+    if sat:
+        assert model_holds(q, model)
+
+
+def test_decide_ea_disconnected_primal_graph():
+    # components {1, 3} and {2, 4}: the second covers every y_4 only with
+    # x_2 true, and the first must still satisfy its clause with x_1 false
+    q = QbfEA((1, 2), (3, 4), ((1, 3), (2, 4), (2, -4)), ((-1,),))
+    sat, model = decide_ea(q)
+    assert sat is True
+    assert model == {1: False, 2: True}
+    # without the second component no root reaches F = 0
+    q = QbfEA((1, 2), (3, 4), ((1, 3), (2, 4)), ((-1,),))
+    assert eval_bruteforce(q)[0] is False
+    assert decide_ea(q) == (False, None)
+    # an isolated variable is a component of its own
+    q = QbfEA((1, 2), (3, 4), ((2, 4), (2, -4)))
+    sat, model = decide_ea(q)
+    assert sat is True and set(model) == {1, 2} and model[2] is True
+
+
+def test_decide_ea_reports_sizes_and_caps_memory():
+    q = QbfEA((1, 2), (3, 4, 5), ((1, 3, 4), (-1, 5), (2, -3), (-2, -4, -5)))
+    stats = {}
+    assert decide_ea(q, stats=stats)[0] is eval_bruteforce(q)[0]
+    assert stats["t_exists"] >= 1 and stats["t_forall"] >= 1
+    assert stats["states"] > 0
+    with pytest.raises(ResourceLimitError):
+        decide_ea(q, max_states=2)
 
 
 def test_to_dimacs():
