@@ -18,7 +18,7 @@ from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.instance import AshgInstance, Partition, iter_partitions
 from ashg.qbf import QbfEA, decide_ea
 from ashg.treedecomp import heuristic_decompose, root_tree, validate_td
-from ashg.verify import verify_bruteforce, verify_treewidth
+from ashg.verify import _treewidth_dp, verify_bruteforce
 
 EXISTS = "Exists"
 NOT_EXISTS = "NotExists"
@@ -219,8 +219,9 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
     dropped first, and td need cover only the non-zero edges.  encode_cs
     builds the formula over the bag-completed graph of td, or, without td,
     of a decomposition of the graph of the non-zero edges, and decide_ea
-    decides it.  An Exists answer is certified by verify_treewidth on the
-    same decomposition, and a partition that fails raises RuntimeError.
+    decides it.  An Exists answer is certified by verify_treewidth's DP on
+    the same decomposition, which encode_cs has validated, and a partition
+    that fails raises RuntimeError.
     stats holds the DP's sizes: t_exists, t_forall and states.  collect,
     when a dict, receives the encoding.
     """
@@ -237,7 +238,7 @@ def solve_cs(inst, td=None, max_terms=2_000_000, max_states=20_000_000,
     if not sat:
         return CsResult(NOT_EXISTS, stats=stats)
     P = decode_partition(enc, inst, model)
-    if not verify_treewidth(inst, P, td=td).stable:
+    if not _treewidth_dp(inst, P, td).stable:
         raise RuntimeError("partition %r is not core stable"
                            % [sorted(b) for b in P.blocks])
     return CsResult(EXISTS, P, stats=stats)

@@ -101,15 +101,21 @@ EDGESET = "EDGESET"
 def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
     """Signature DP over a tree decomposition rooted at bag 0.
 
-    A state is (bag members chosen into X, per-member utility already gained
-    from forgotten coalition members, whether X is nonempty so far).  VALUE
-    keeps the gained amount as an integer, EDGESET as the set of edges to
-    forgotten members.  The tables change one vertex at a time: a leaf
-    introduces its bag, each tree edge forgets what only the child holds
-    and then introduces what only the parent holds, a bag joins its
-    children in order, and the root forgets its bag.  Each state keeps
-    the first coalition found for it as nested pairs: (v, rest) when v is
-    taken, (left, right) at a join.
+    A state is (in_x, gains, touched): in_x has bit v set for each bag
+    member chosen into X; gains holds, per set bit of in_x in ascending
+    order, the utility that member already gained from forgotten members
+    of X, as an int in VALUE mode and in EDGESET mode as a bitmask of
+    those forgotten neighbours; touched says X is nonempty so far.  The
+    tables change one vertex at a time: a leaf introduces its bag, each
+    tree edge forgets what only the child holds and then introduces what
+    only the parent holds, a bag joins its children in order, and the root
+    forgets its bag.  Each state keeps the first coalition found for it as
+    nested pairs: (v, rest) when v is taken, (left, right) at a join.
+
+    The DP stops at the first bag whose table holds (0, (), True): every
+    member of that X was forgotten after its check passed, and each of its
+    neighbours shared a bag with it below, so X blocks.  A Stable answer
+    runs to the root.  stats["states"] counts the states built until then.
     """
     if mode not in (VALUE, EDGESET):
         raise ValueError("unknown mode %r" % mode)
@@ -118,9 +124,14 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
     report = validate_td(inst, td)
     if report is not None:
         raise PreconditionError("invalid tree decomposition: %s" % report)
+    return _treewidth_dp(inst, P, td, mode, max_states)
+
+
+def _treewidth_dp(inst, P, td, mode=VALUE, max_states=5_000_000):
+    """verify_treewidth on a decomposition already validated for inst."""
     ut_p = all_partition_utilities(inst, P)
     bound = inst.max_degree * inst.w_max
-    empty_gain = 0 if mode == VALUE else frozenset()
+    edgeset = mode == EDGESET
     total_states = 0
 
     def counted(table):
@@ -136,36 +147,53 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
                                "bound %d" % (g, v, bound))
         return g
 
+    def members(mask):
+        """Set bits of mask, ascending."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+
     def introduce(table, v):
+        bit = 1 << v
         out = {}
         for state, coal in table.items():
             out.setdefault(state, coal)
-            in_x, gained, _ = state
-            taken = tuple(sorted(gained + ((v, empty_gain),)))
-            out.setdefault((in_x | {v}, taken, True), (v, coal))
+            in_x, gains, _ = state
+            r = (in_x & (bit - 1)).bit_count()
+            out.setdefault((in_x | bit, gains[:r] + (0,) + gains[r:], True),
+                           (v, coal))
         return counted(out)
 
     def forget(table, v):
+        bit = 1 << v
+        wv = inst.neighbors(v)
+        nbmask = sum(1 << u for u in wv)
+        sums = {}  # EDGESET: mask of forgotten X-nbrs -> v's gain from them
         out = {}
         for state, coal in table.items():
-            in_x, gained, touched = state
-            if v not in in_x:
+            in_x, gains, touched = state
+            if not in_x & bit:
                 out.setdefault(state, coal)
                 continue
-            gmap = dict(gained)
-            g = gmap.pop(v)
-            if mode == EDGESET:
-                g = sum(inst.weight(v, x) for x in g)
-            nbrs = [u for u in in_x if u != v and inst.has_edge(v, u)]
-            if g + sum(inst.weight(v, u) for u in nbrs) <= ut_p[v]:
+            i = (in_x & (bit - 1)).bit_count()
+            g = gains[i]
+            if edgeset:
+                if g not in sums:
+                    sums[g] = sum(wv[x] for x in members(g))
+                g = sums[g]
+            # (rank, vertex, weight) of v's neighbours among the members
+            nbrs = [((in_x & ((1 << u) - 1)).bit_count(), u, wv[u])
+                    for u in members(in_x & nbmask)]
+            if g + sum(w for _, _, w in nbrs) <= ut_p[v]:
                 continue
-            for u in nbrs:
-                if mode == VALUE:
-                    gmap[u] = bounded(u, gmap[u] + inst.weight(v, u))
-                else:
-                    gmap[u] |= {v}
-            out.setdefault((in_x - {v}, tuple(sorted(gmap.items())), touched),
-                           coal)
+            gl = list(gains)
+            for j, u, w in nbrs:
+                gl[j] = gl[j] | bit if edgeset else bounded(u, gl[j] + w)
+            del gl[i]
+            out.setdefault((in_x ^ bit, tuple(gl), touched), coal)
         return counted(out)
 
     def join(left, right):
@@ -175,12 +203,12 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
         out = {}
         for (in_x, lg, lt), lcoal in left.items():
             for (_, rg, rt), rcoal in by_inx.get(in_x, ()):
-                # both gains are sorted over the same members, in_x
-                if mode == VALUE:
-                    merged = tuple((v, bounded(v, g + h))
-                                   for (v, g), (_, h) in zip(lg, rg))
+                # both gains are aligned with the members of in_x
+                if edgeset:
+                    merged = tuple(map(int.__or__, lg, rg))
                 else:
-                    merged = tuple((v, g | h) for (v, g), (_, h) in zip(lg, rg))
+                    merged = tuple(bounded(v, g + h) for v, g, h
+                                   in zip(members(in_x), lg, rg))
                 out.setdefault((in_x, merged, lt or rt), (lcoal, rcoal))
         return counted(out)
 
@@ -191,6 +219,7 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
             table = introduce(table, v)
         return table
 
+    done = (0, (), True)
     parent, order = root_tree(td.tree, 0)
     tops = {}  # bag -> table of its subtree, until its parent takes it
     for t in reversed(order):
@@ -200,12 +229,14 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
             lifted = up(tops.pop(s), td.bags[s], bag)
             table = lifted if table is None else join(table, lifted)
         if table is None:
-            table = up(counted({(frozenset(), (), False): None}),
-                       frozenset(), bag)
+            table = up(counted({(0, (), False): None}), frozenset(), bag)
+        coal = table.get(done)
+        if coal is not None:
+            break
         tops[t] = table
-    root = up(tops.pop(0), td.bags[0], frozenset())
+    else:
+        coal = up(tops.pop(0), td.bags[0], frozenset()).get(done)
 
-    coal = root.get((frozenset(), (), True))
     if coal is None:
         return VerificationResult(STABLE, stats={"states": total_states})
     witness = set()

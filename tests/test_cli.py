@@ -13,10 +13,13 @@ from ashg.cli import main
 from ashg.errors import ResourceLimitError
 from ashg.generators import GenResult
 from ashg.instance import (AshgInstance, Partition, emit_instance,
-                           parse_instance, parse_partition)
-from ashg.treedecomp import read_td, validate_td
+                           emit_partition, is_blocking, parse_instance,
+                           parse_partition)
+from ashg.kcore import greedy_2core
+from ashg.treedecomp import emit_td, read_td, validate_td
 from ashg.verify import verify_tree
 from test_existence import grid
+from test_verify import chorded_path
 
 TRIANGLE = "p ashg 3 3\ne 0 1 1\ne 1 2 1\ne 0 2 1\n"
 SINGLETONS3 = "0\n1\n2\n"
@@ -98,6 +101,25 @@ def test_verify_with_explicit_td(runner, tmp_path):
     result = runner.invoke(main, ["verify", str(g), str(p), "--algo", "tw",
                                   "--td", str(t), "--mode", "edgeset"])
     assert result.exit_code == 0
+
+
+def test_verify_tw_edgeset_prints_blocking_witness(tmp_path):
+    inst, td = chorded_path(random.Random(4))
+    P = greedy_2core(inst)
+    g = tmp_path / "chorded.graph"
+    p = tmp_path / "chorded.partition"
+    t = tmp_path / "chorded.td"
+    write(g, emit_instance(inst))
+    write(p, emit_partition(P))
+    write(t, emit_td(td, inst.n))
+    src = os.path.dirname(os.path.dirname(ashg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "ashg.cli", "verify", str(g), str(p),
+         "--algo", "tw", "--mode", "edgeset", "--td", str(t)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 1, result.stderr
+    assert is_blocking(inst, P, {int(u) for u in result.stdout.split()})
 
 
 def test_verify_k_requires_brute(runner, tmp_path):
@@ -236,11 +258,11 @@ def test_solve_state_cap_exit_3_within_memory_bound(tmp_path):
 
 
 def test_solve_certification_cap_exit_3(runner, tmp_path, monkeypatch):
-    def capped(inst, P, td=None):
+    def capped(inst, P, td):
         raise ResourceLimitError("dp_states", 1)
 
     # solve_cs certifies its Exists answers itself
-    monkeypatch.setattr(existence, "verify_treewidth", capped)
+    monkeypatch.setattr(existence, "_treewidth_dp", capped)
     g = tmp_path / "edge.graph"
     write(g, "p ashg 2 1\ne 0 1 1\n")
     result = runner.invoke(main, ["solve", str(g)])

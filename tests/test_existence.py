@@ -4,14 +4,15 @@ import warnings
 
 import pytest
 
-from ashg import existence, qbf
+from ashg import existence, qbf, verify
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.existence import (EXISTS, NOT_EXISTS, decode_partition, encode_cs,
                             solve_cs, solve_cs_bruteforce)
 from ashg.generators import gen_eapartition_cs, gen_gadget
 from ashg.instance import AshgInstance, Partition
 from ashg.qbf import QbfEA, eval_bruteforce, fresh_primal_td, qbf_to_cnf
-from ashg.treedecomp import TreeDecomposition, heuristic_decompose
+from ashg.treedecomp import (TreeDecomposition, heuristic_decompose,
+                             validate_td)
 from ashg.verify import verify_bruteforce, verify_treewidth
 
 
@@ -334,13 +335,28 @@ def test_solve_cs_does_not_compile_to_cnf(monkeypatch):
 
 def test_solve_cs_certifies_in_the_library(monkeypatch):
     # a partition the certificate rejects is an error, not an answer
-    def rejects(inst, P, td=None):
+    def rejects(inst, P, td):
         return verify_bruteforce(inst, Partition([[u] for u in range(inst.n)],
                                                  inst.n))
 
-    monkeypatch.setattr(existence, "verify_treewidth", rejects)
+    monkeypatch.setattr(existence, "_treewidth_dp", rejects)
     with pytest.raises(RuntimeError):
         solve_cs(AshgInstance(2, [(0, 1, 1)]))
+
+
+def test_solve_cs_validates_its_decomposition_once(monkeypatch):
+    # encode_cs validates the decomposition the certificate then uses
+    calls = []
+
+    def counted(inst, td):
+        calls.append(td)
+        return validate_td(inst, td)
+
+    monkeypatch.setattr(existence, "validate_td", counted)
+    monkeypatch.setattr(verify, "validate_td", counted)
+    inst = AshgInstance(4, [(0, 1, 2), (1, 2, -1), (2, 3, 1), (0, 3, 1)])
+    assert solve_cs(inst).verdict == EXISTS
+    assert len(calls) == 1
 
 
 def test_solve_cs_t_forall_flat_on_caterpillars():

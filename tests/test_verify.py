@@ -7,11 +7,12 @@ import pytest
 
 import ashg
 
-from ashg import verify
+from ashg import treedecomp, verify
 from ashg.errors import (PreconditionError, ResourceLimitError,
                          WrongAlgorithmError)
 from ashg.instance import AshgInstance, Partition, is_blocking
-from ashg.treedecomp import TreeDecomposition, heuristic_decompose
+from ashg.kcore import greedy_2core
+from ashg.treedecomp import TreeDecomposition, heuristic_decompose, root_tree
 from ashg.verify import (EDGESET, STABLE, UNSTABLE, VALUE, min_vertex_cover,
                          verify_bruteforce, verify_tree, verify_treewidth,
                          verify_vertexcover)
@@ -21,17 +22,19 @@ def triangle(w=1):
     return AshgInstance(3, [(0, 1, w), (1, 2, w), (0, 2, w)])
 
 
+def random_partition(rng, n):
+    blocks = {}
+    for u in range(n):
+        blocks.setdefault(rng.randrange(n), set()).add(u)
+    return Partition(list(blocks.values()), n)
+
+
 def random_game(rng, max_n=10, max_w=5):
     n = rng.randint(1, max_n)
     edges = [(u, v, rng.randint(-max_w, max_w))
              for u in range(n) for v in range(u + 1, n)
              if rng.random() < 0.4]
-    inst = AshgInstance(n, edges)
-    labels = [rng.randrange(n) for _ in range(n)]
-    blocks = {}
-    for u, b in enumerate(labels):
-        blocks.setdefault(b, set()).add(u)
-    return inst, Partition(list(blocks.values()), n)
+    return AshgInstance(n, edges), random_partition(rng, n)
 
 
 def random_forest(rng, max_n=10, max_w=5):
@@ -40,12 +43,7 @@ def random_forest(rng, max_n=10, max_w=5):
     for v in range(1, n):
         if rng.random() < 0.8:
             edges.append((rng.randrange(v), v, rng.randint(-max_w, max_w)))
-    inst = AshgInstance(n, edges)
-    labels = [rng.randrange(n) for _ in range(n)]
-    blocks = {}
-    for u, b in enumerate(labels):
-        blocks.setdefault(b, set()).add(u)
-    return inst, Partition(list(blocks.values()), n)
+    return AshgInstance(n, edges), random_partition(rng, n)
 
 
 def test_brute_triangle_singletons():
@@ -153,8 +151,8 @@ _G8_TD = TreeDecomposition([{0, 1, 3}, {0, 1, 7}, {1, 2, 3}, {3, 4, 6}, {4, 5, 6
 @pytest.mark.parametrize("inst, td, blocks, mode, witness, states", [
     (_K4, None, None, VALUE, {0, 1}, 58),
     (_K4, None, None, EDGESET, {0, 1}, 61),
-    (_G8, _G8_TD, None, VALUE, {5, 6}, 267),
-    (_G8, _G8_TD, None, EDGESET, {5, 6}, 292),
+    (_G8, _G8_TD, None, VALUE, {5, 6}, 216),
+    (_G8, _G8_TD, None, EDGESET, {5, 6}, 218),
     (_G8, _G8_TD, [{0, 1, 2, 3, 7}, {4}, {5, 6}], VALUE, {2, 3, 4}, 165),
     (_G8, _G8_TD, [{0, 1, 2, 3, 7}, {4}, {5, 6}], EDGESET, {2, 3, 4}, 165),
 ])
@@ -184,6 +182,98 @@ def test_treewidth_state_cap():
 def test_treewidth_unknown_mode():
     with pytest.raises(ValueError):
         verify_treewidth(triangle(), Partition.singletons(3), mode="EDGES")
+
+
+def chorded_path(rng):
+    """A 200-vertex path with a negative chord every ten vertices, and its
+    width-3 sliding-window decomposition."""
+    n = 200
+    edges = [(i, i + 1, rng.randint(-3, 3)) for i in range(n - 1)]
+    edges += [(i, i + 3, rng.randint(-3, -1)) for i in range(0, n - 3, 10)]
+    td = TreeDecomposition([set(range(i, i + 4)) for i in range(n - 3)],
+                           [(i, i + 1) for i in range(n - 4)])
+    return AshgInstance(n, edges), td
+
+
+@pytest.mark.parametrize("mode", [VALUE, EDGESET])
+def test_treewidth_stops_at_first_blocking_coalition(mode):
+    # running to the root builds 5,184 states in either mode
+    inst, td = chorded_path(random.Random(4))
+    P = greedy_2core(inst)
+    res = verify_treewidth(inst, P, td=td, mode=mode)
+    assert res.verdict == UNSTABLE
+    assert is_blocking(inst, P, res.witness)
+    assert res.stats == {"states": 4233}
+
+
+@pytest.mark.parametrize("mode", [VALUE, EDGESET])
+def test_treewidth_stops_in_first_bags(mode):
+    # the only positive edge lies in the bag processed first, of 199
+    n = 200
+    inst = AshgInstance(n, [(i, i + 1, 1 if i == n - 2 else -1)
+                            for i in range(n - 1)])
+    td = TreeDecomposition([{i, i + 1} for i in range(n - 1)],
+                           [(i, i + 1) for i in range(n - 2)])
+    res = verify_treewidth(inst, Partition.singletons(n), td=td, mode=mode)
+    assert res.witness == {n - 2, n - 1}
+    assert res.stats == {"states": 24}  # 1,597 when run to the root
+
+
+def stable_game(rng, n):
+    """A random partition, core stable by construction: weights inside
+    blocks are positive and weights across them at most 0."""
+    P = random_partition(rng, n)
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if P.block_of(u) == P.block_of(v):
+                edges.append((u, v, rng.randint(1, 5)))
+            elif rng.random() < 0.5:
+                edges.append((u, v, rng.randint(-5, 0)))
+    return AshgInstance(n, edges), P
+
+
+def shuffled_elimination_td(rng, inst):
+    adj = {u: set(inst.neighbors(u)) for u in inst.vertices()}
+    order = list(inst.vertices())
+    rng.shuffle(order)
+    return treedecomp._from_elimination(
+        [(u, treedecomp._eliminate(adj, u)) for u in order])
+
+
+def test_treewidth_matches_bruteforce_and_runs_stable_answers_to_root():
+    rng = random.Random(18)
+    games = [stable_game(rng, 5 + i % 5) for i in range(300)]
+    for i in range(300):
+        n = 5 + i % 5
+        edges = [(u, v, rng.randint(-4, 4)) for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < 0.45]
+        games.append((AshgInstance(n, edges), random_partition(rng, n)))
+    stable_states = {}
+    joins = 0
+    for inst, P in games:
+        given = shuffled_elimination_td(rng, inst)
+        parent, order = root_tree(given.tree, 0)
+        joins += any(len(given.tree[t]) - (parent[t] is not None) > 1
+                     for t in order)
+        base = verify_bruteforce(inst, P)
+        for td in (None, given):
+            for mode in (VALUE, EDGESET):
+                res = verify_treewidth(inst, P, td=td, mode=mode)
+                assert res.verdict == base.verdict
+                if res.stable:
+                    key = ("heuristic" if td is None else "given", mode)
+                    stable_states[key] = (stable_states.get(key, 0)
+                                          + res.stats["states"])
+                else:
+                    assert is_blocking(inst, P, res.witness)
+    assert joins >= 300
+    # a Stable answer runs to the root, so these are also the totals of
+    # the DP without its early stop
+    assert stable_states == {("heuristic", VALUE): 52139,
+                             ("heuristic", EDGESET): 52139,
+                             ("given", VALUE): 78093,
+                             ("given", EDGESET): 78093}
 
 
 def test_min_vertex_cover():
@@ -287,6 +377,29 @@ try:
     V.verify_treewidth(inst, Partition.singletons(3))
 except RuntimeError:
     raise SystemExit(0)
+raise SystemExit("no error raised")
+"""
+    src = os.path.dirname(os.path.dirname(ashg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_treewidth_bound_check_survives_optimize():
+    # the gained-utility bound must be checked under python -O as well
+    code = """
+import sys
+from ashg.instance import AshgInstance, Partition
+from ashg.verify import verify_treewidth
+if not sys.flags.optimize:
+    raise SystemExit("not optimized")
+inst = AshgInstance(3, [(0, 1, 1), (1, 2, 1), (0, 2, 1)])
+inst.w_max = 0
+try:
+    verify_treewidth(inst, Partition.singletons(3))
+except RuntimeError as exc:
+    raise SystemExit(0 if "out of bound" in str(exc) else str(exc))
 raise SystemExit("no error raised")
 """
     src = os.path.dirname(os.path.dirname(ashg.__file__))
