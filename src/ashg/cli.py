@@ -86,7 +86,8 @@ def main():
 @click.option("--mode", type=click.Choice(["value", "edgeset"]), default="value",
               show_default=True, help="Signature regime for --algo tw.")
 @click.option("--cap", type=int, default=1_000_000, show_default=True,
-              help="Enumeration cap for --algo brute.")
+              help="Enumeration cap for --algo brute: candidate coalitions "
+              "in size-then-lexicographic order, examined or skipped.")
 @click.option("--max-states", type=int, default=5_000_000, show_default=True,
               help="DP state cap for --algo tw.")
 def verify(instance_path, partition_path, algo, k, td_path, mode, cap,

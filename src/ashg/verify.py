@@ -7,6 +7,7 @@ disconnected blocking coalition always contains a blocking component.
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 
 from ashg.errors import PreconditionError, ResourceLimitError, WrongAlgorithmError
 from ashg.instance import all_partition_utilities, is_blocking
@@ -32,22 +33,134 @@ class VerificationResult:
 
 
 def verify_bruteforce(inst, P, max_size=None, cap=1_000_000):
-    """Enumerate connected coalitions by size, then lexicographically."""
+    """First blocking coalition of at most max_size agents in the order of
+    size, then lexicographic order of the sorted members, if any.
+
+    Singletons come first.  Then, as a blocking coalition holds only agents
+    that strictly improve, any agent whose positive weights to the
+    remaining agents sum to at most its partition utility is dropped,
+    repeatedly.  The connected sets of the rest grow one neighbour at a
+    time, a size at a time.  A set is a bitmask with bit n-1-u for agent
+    u, so among sets of one size the lexicographically first is the
+    largest mask.
+
+    stats["examined"] and cap count candidate coalitions in that order over
+    every subset of the agents, examined or skipped: the witness's
+    position, or all subsets of at most max_size agents for a Stable
+    answer.  ResourceLimitError is raised when that count exceeds cap.
+    The search holds two sizes' connected sets at a time, and under a cap
+    neither holds more than cap of them.
+    """
+    n = inst.n
     ut_p = all_partition_utilities(inst, P)
-    limit = inst.n if max_size is None else min(max_size, inst.n)
-    examined = 0
-    for size in range(1, limit + 1):
-        for combo in combinations(range(inst.n), size):
-            examined += 1
-            if cap is not None and examined > cap:
-                raise ResourceLimitError("enumeration", cap)
-            X = frozenset(combo)
-            if not inst.is_connected_set(X):
-                continue
-            if all(sum(w for v, w in inst.neighbors(u).items() if v in X) > ut_p[u]
-                   for u in combo):
-                return VerificationResult(UNSTABLE, X, {"examined": examined})
+    limit = n if max_size is None else min(max_size, n)
+
+    def over_cap(examined):
+        if cap is not None and examined > cap:
+            raise ResourceLimitError("enumeration", cap)
+        return examined
+
+    if limit >= 1:
+        # singletons come first, and one blocks when its utility is negative
+        for u in range(n):
+            if ut_p[u] < 0:
+                return VerificationResult(UNSTABLE, frozenset({u}),
+                                          {"examined": over_cap(u + 1)})
+
+    adj = [inst.neighbors(u) for u in range(n)]
+    gain = [sum(w for w in a.values() if w > 0) for a in adj]
+    alive = [True] * n
+    drop = [u for u in range(n) if gain[u] <= ut_p[u]]
+    while drop:
+        u = drop.pop()
+        if alive[u]:
+            alive[u] = False
+            for v, w in adj[u].items():
+                if w > 0 and alive[v]:
+                    gain[v] -= w
+                    if gain[v] <= ut_p[v]:
+                        drop.append(v)
+    survivors = [u for u in range(n) if alive[u]]
+
+    if survivors and limit >= 2:
+        bits = {u: 1 << (n - 1 - u) for u in survivors}
+        weights = {u: [(bits[v], w) for v, w in adj[u].items() if alive[v]]
+                   for u in survivors}
+        frontier_of = {bits[u]: sum(b for b, _ in weights[u]) for u in survivors}
+
+        def blocks(X):
+            rest = X
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                u = n - low.bit_length()
+                if sum(w for b, w in weights[u] if X & b) <= ut_p[u]:
+                    return False
+            return True
+
+        level = frontier_of
+        start = 1 + n  # position of the first coalition of each size
+        for size in range(2, limit + 1):
+            over_cap(start)
+            count = comb(n, size)
+            # on the size where the cap falls, keep only coalitions at or
+            # before it, the masks from floor up.  Each holds an agent no
+            # later than floor's first (bit top), so a set without one may
+            # only gain such an agent.
+            floor = top = 0
+            if cap is not None and start + count - 1 > cap:
+                floor = _lex_mask(cap - start, n, size)
+                top = 1 << (floor.bit_length() - 1)
+            grown = {}
+            for X, frontier in level.items():
+                rest = frontier if X >= top else frontier & -top
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    Y = X | low
+                    if Y >= floor and Y not in grown:
+                        grown[Y] = (frontier | frontier_of[low]) & ~Y
+            if not grown:
+                break
+            found = [Y for Y in grown if blocks(Y)]
+            if found:
+                X = max(found)
+                members = [u for u in survivors if X & bits[u]]
+                examined = over_cap(start + _lex_rank(members, n))
+                return VerificationResult(UNSTABLE, frozenset(members),
+                                          {"examined": examined})
+            start += count
+            level = grown
+    examined = over_cap(sum(comb(n, s) for s in range(1, limit + 1)))
     return VerificationResult(STABLE, stats={"examined": examined})
+
+
+def _lex_mask(rank, n, s):
+    """Mask, with bit n-1-u for member u, of the subset of range(n) of size
+    s at the 0-based rank in lexicographic order."""
+    mask = 0
+    c = 0
+    for i in range(s):
+        # skip the subsets whose member i is c
+        while rank >= comb(n - 1 - c, s - 1 - i):
+            rank -= comb(n - 1 - c, s - 1 - i)
+            c += 1
+        mask |= 1 << (n - 1 - c)
+        c += 1
+    return mask
+
+
+def _lex_rank(members, n):
+    """0-based rank of the sorted members among the subsets of range(n) of
+    their size, in lexicographic order."""
+    s = len(members)
+    rank = 0
+    prev = -1
+    for i, c in enumerate(members):
+        # subsets that agree before i and hold some j in (prev, c) at i
+        rank += comb(n - 1 - prev, s - i) - comb(n - c, s - i)
+        prev = c
+    return rank
 
 
 def verify_tree(inst, P):
@@ -256,22 +369,47 @@ def _treewidth_dp(inst, P, td, mode=VALUE, max_states=5_000_000):
 
 
 def min_vertex_cover(inst):
-    """Exact minimum vertex cover: try budgets 0, 1, ..., MAX_COVER in turn,
-    branching on the first uncovered edge, u before v."""
+    """Exact minimum vertex cover: try budgets from a maximal matching's
+    size up to MAX_COVER in turn, branching on the first uncovered edge, u
+    before v.
+
+    A greedy maximal matching on the uncovered edges bounds the vertices
+    still needed from below, so a branch whose matching exceeds its budget
+    is cut; it would find no cover within the budget either, so the cover
+    returned is the first one in the same depth-first order.
+    """
     edges = [(u, v) for u, v, _ in inst.edges]
 
-    def search(cover, budget):
+    def scan(cover, budget):
+        """First uncovered edge, or None, and the size of a greedy maximal
+        matching on the uncovered edges, counted up to budget + 1."""
+        first = None
+        matched = set()
+        size = 0
         for u, v in edges:
             if u not in cover and v not in cover:
-                if budget == 0:
-                    return None
-                found = search(cover | {u}, budget - 1)
-                if found is None:
-                    found = search(cover | {v}, budget - 1)
-                return found
-        return cover
+                if first is None:
+                    first = (u, v)
+                if u not in matched and v not in matched:
+                    matched.update((u, v))
+                    size += 1
+                    if size > budget:
+                        break
+        return first, size
 
-    for budget in range(MAX_COVER + 1):
+    def search(cover, budget):
+        first, size = scan(cover, budget)
+        if first is None:
+            return cover
+        if size > budget:
+            return None
+        u, v = first
+        found = search(cover | {u}, budget - 1)
+        if found is None:
+            found = search(cover | {v}, budget - 1)
+        return found
+
+    for budget in range(scan(frozenset(), MAX_COVER)[1], MAX_COVER + 1):
         cover = search(frozenset(), budget)
         if cover is not None:
             return cover

@@ -206,15 +206,19 @@ def test_solve_certifies_long_path_quickly(tmp_path):
 
 
 # a solve run in a fresh process that reports its own peak resident set on
-# the last line of stderr
+# the last line of stderr.  It reads VmHWM, not ru_maxrss: on Linux the
+# child's ru_maxrss keeps the high-water mark of the image it was forked
+# from, before exec, so it would report the test process's size.
 _MEASURED = """
-import resource, sys
+import sys
 from ashg.cli import main
 try:
     main()
 finally:
-    sys.stderr.write("\\npeak_rss_kb %d\\n"
-                     % resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+    with open("/proc/self/status") as status:
+        hwm = next(line.split()[1] for line in status
+                   if line.startswith("VmHWM:"))
+    sys.stderr.write("\\npeak_rss_kb %s\\n" % hwm)
 """
 
 

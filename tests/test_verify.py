@@ -2,6 +2,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from itertools import combinations
 
 import pytest
 
@@ -10,12 +12,13 @@ import ashg
 from ashg import treedecomp, verify
 from ashg.errors import (PreconditionError, ResourceLimitError,
                          WrongAlgorithmError)
-from ashg.instance import AshgInstance, Partition, is_blocking
+from ashg.instance import (AshgInstance, Partition, all_partition_utilities,
+                           is_blocking)
 from ashg.kcore import greedy_2core
 from ashg.treedecomp import TreeDecomposition, heuristic_decompose, root_tree
-from ashg.verify import (EDGESET, STABLE, UNSTABLE, VALUE, min_vertex_cover,
-                         verify_bruteforce, verify_tree, verify_treewidth,
-                         verify_vertexcover)
+from ashg.verify import (EDGESET, STABLE, UNSTABLE, VALUE, VerificationResult,
+                         min_vertex_cover, verify_bruteforce, verify_tree,
+                         verify_treewidth, verify_vertexcover)
 
 
 def triangle(w=1):
@@ -84,6 +87,136 @@ def test_brute_cap():
     inst = AshgInstance(30, [(i, i + 1, -1) for i in range(29)])
     with pytest.raises(ResourceLimitError):
         verify_bruteforce(inst, Partition.singletons(30), cap=1000)
+
+
+def reference_bruteforce(inst, P, max_size=None, cap=1_000_000):
+    """Every subset of the agents by size, then lexicographically: the
+    plain enumeration that verify_bruteforce must agree with."""
+    ut_p = all_partition_utilities(inst, P)
+    limit = inst.n if max_size is None else min(max_size, inst.n)
+    examined = 0
+    for size in range(1, limit + 1):
+        for combo in combinations(range(inst.n), size):
+            examined += 1
+            if cap is not None and examined > cap:
+                raise ResourceLimitError("enumeration", cap)
+            X = frozenset(combo)
+            if not inst.is_connected_set(X):
+                continue
+            if all(sum(w for v, w in inst.neighbors(u).items() if v in X) > ut_p[u]
+                   for u in combo):
+                return VerificationResult(UNSTABLE, X, {"examined": examined})
+    return VerificationResult(STABLE, stats={"examined": examined})
+
+
+def reference_min_vertex_cover(inst):
+    """Iterative deepening over budgets 0, 1, ..., MAX_COVER, branching on
+    the first uncovered edge, u before v, with no bound."""
+    edges = [(u, v) for u, v, _ in inst.edges]
+
+    def search(cover, budget):
+        for u, v in edges:
+            if u not in cover and v not in cover:
+                if budget == 0:
+                    return None
+                found = search(cover | {u}, budget - 1)
+                if found is None:
+                    found = search(cover | {v}, budget - 1)
+                return found
+        return cover
+
+    for budget in range(verify.MAX_COVER + 1):
+        cover = search(frozenset(), budget)
+        if cover is not None:
+            return cover
+    raise ResourceLimitError("vertex_cover", verify.MAX_COVER)
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        res = fn(*args, **kwargs)
+    except ResourceLimitError as exc:
+        return "ResourceLimitError", str(exc)
+    if isinstance(res, VerificationResult):
+        return res.verdict, res.witness, res.stats["examined"]
+    return res
+
+
+def test_bruteforce_matches_reference_enumeration():
+    rng = random.Random(19)
+    verdicts = set()
+    for _ in range(20_000):
+        n = rng.randint(1, 10)
+        density = rng.choice((0.2, 0.4, 0.7))
+        w = rng.choice((1, 2, 5))
+        edges = [(u, v, rng.randint(-w, w)) for u in range(n)
+                 for v in range(u + 1, n) if rng.random() < density]
+        inst = AshgInstance(n, edges)
+        # few large blocks make stable partitions common
+        blocks = {}
+        groups = rng.choice((n, max(1, n // 3)))
+        for u in range(n):
+            blocks.setdefault(rng.randrange(groups), set()).add(u)
+        P = Partition(list(blocks.values()), n)
+        max_size = rng.choice((None, rng.randint(0, n + 1)))
+        cap = rng.choice((None, 1_000_000, rng.randint(1, 2 ** n)))
+        want = outcome(reference_bruteforce, inst, P, max_size=max_size, cap=cap)
+        got = outcome(verify_bruteforce, inst, P, max_size=max_size, cap=cap)
+        assert got == want, (edges, P, max_size, cap)
+        verdicts.add(want[0])
+    assert verdicts == {STABLE, UNSTABLE, "ResourceLimitError"}
+
+
+def test_bruteforce_cap_inside_a_size_matches_reference():
+    # no agent of this dense grand coalition is dropped and no small
+    # coalition blocks, so each cap falls inside the size being searched
+    rng = random.Random(30)
+    n = 30
+    inst = AshgInstance(n, [(u, v, rng.choice((-1, 1, 2)))
+                            for u in range(n) for v in range(u + 1, n)])
+    P = Partition.grand(n)
+    for cap in (500, 5_000, 20_000):
+        want = outcome(reference_bruteforce, inst, P, cap=cap)
+        assert want[0] == "ResourceLimitError"
+        assert outcome(verify_bruteforce, inst, P, cap=cap) == want
+
+
+def test_min_vertex_cover_matches_reference_search():
+    rng = random.Random(19)
+    for _ in range(3_000):
+        n = rng.randint(1, 16)
+        density = rng.choice((0.1, 0.2, 0.3))
+        inst = AshgInstance(n, [(u, v, 1) for u in range(n) for v in range(u + 1, n)
+                                if rng.random() < density])
+        assert (outcome(min_vertex_cover, inst)
+                == outcome(reference_min_vertex_cover, inst)), inst.edges
+
+
+def test_bruteforce_stable_24_agents_without_enumeration():
+    # every agent has one negative edge, so its utility in the grand
+    # coalition is below its positive weights and no agent is dropped
+    # before the search; a member improves only if all its path neighbours
+    # are in and its negative neighbour is out, and closing a coalition
+    # under path neighbours takes in all 24 agents
+    n = 24
+    edges = [(i, i + 1, 1) for i in range(n - 1)]
+    edges += [(i, i + 2, -1) for i in range(n - 2) if i % 4 < 2]
+    start = time.perf_counter()
+    res = verify_bruteforce(AshgInstance(n, edges), Partition.grand(n), cap=None)
+    elapsed = time.perf_counter() - start
+    assert res.stable and res.stats == {"examined": 2 ** n - 1}
+    assert elapsed < 1, "%.1fs" % elapsed
+
+
+def test_min_vertex_cover_path_40_within_a_second():
+    n = 40
+    inst = AshgInstance(n, [(i, i + 1, 1) for i in range(n - 1)])
+    start = time.perf_counter()
+    cover = min_vertex_cover(inst)
+    elapsed = time.perf_counter() - start
+    assert len(cover) == 20
+    assert all(u in cover or v in cover for u, v, _ in inst.edges)
+    assert elapsed < 1, "%.1fs" % elapsed
 
 
 def test_tree_star():
