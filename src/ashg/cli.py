@@ -25,7 +25,7 @@ from ashg.generators import (gen_33sat_cs, gen_3col_kcs, gen_bdd_csv,
 from ashg.instance import (emit_instance, emit_partition, parse_instance,
                            parse_partition)
 from ashg.kcore import greedy_2core, verify_kcore
-from ashg.qbf import fresh_primal_td, qbf_to_cnf, to_dimacs, to_qdimacs
+from ashg.qbf import to_qdimacs
 from ashg.treedecomp import emit_td, heuristic_decompose, read_td
 from ashg.verify import (EDGESET, VALUE, verify_bruteforce, verify_tree,
                          verify_treewidth, verify_vertexcover)
@@ -135,12 +135,10 @@ def verify(instance_path, partition_path, algo, k, td_path, mode, cap,
 @click.option("--max-states", type=int, default=20_000_000, show_default=True,
               help="Cap on the DP's states held at once, each counted as 1 "
                    "plus its 64-bit words (qbf).")
-@click.option("--emit-dimacs", type=click.Path(), default=None,
-              help="Compile the formula to CNF and write it (qbf only).")
 @click.option("--emit-qdimacs", type=click.Path(), default=None,
               help="Write the formula: clauses, then terms (qbf only).")
 def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
-          emit_dimacs, emit_qdimacs):
+          emit_qdimacs):
     """Decide stable-partition existence; exit 0 prints a partition."""
     inst = _load(instance_path, parse_instance)
     if k is not None and algo != "brute":
@@ -159,10 +157,6 @@ def solve(instance_path, algo, k, td_path, cap, max_terms, max_states,
     if emit_qdimacs and "encoding" in collect:
         with open(emit_qdimacs, "w") as fh:
             fh.write(to_qdimacs(collect["encoding"].formula))
-    if emit_dimacs and "encoding" in collect:
-        q = collect["encoding"].formula
-        with open(emit_dimacs, "w") as fh:
-            fh.write(to_dimacs(qbf_to_cnf(q, fresh_primal_td(q))[0]))
     _report("solve --algo %s" % algo, res.verdict, time.time() - start,
             res.stats)
     if not res.exists:

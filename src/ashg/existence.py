@@ -4,10 +4,10 @@ The graph is completed so every bag of a tree decomposition is a clique
 (the added edges get weight 0, which changes neither utilities nor
 stability).  A quantified formula then asks for an edge set encoding a
 partition (transitivity inside every bag) such that no non-empty vertex
-set is blocking.  The formula is decided through the compilation in
-ashg.qbf, which carries the transitivity clauses alongside the universal
-matrix.  Each phi_u term spans only u's closed neighbourhood and goes to
-the compilation whole; the one term that spans the whole game, the
+set is blocking.  ashg.qbf.decide_ea decides the formula by a DP over
+its primal graph, checking the transitivity clauses alongside the
+universal matrix.  Each phi_u term spans only u's closed neighbourhood
+and goes to the DP whole; the one term that spans the whole game, the
 all-out term, is split as a tree along the decomposition.
 """
 

@@ -96,15 +96,13 @@ def _eliminate(adj, u):
     return nb
 
 
-def min_degree_order(adj, marked=frozenset()):
+def min_degree_order(adj):
     """(vertex, its neighbours when eliminated) per step of the
-    elimination order of the graph adj, which is consumed.  The vertex
-    with the fewest neighbours in marked goes first, then the one of
-    lowest degree (plain min-degree when marked is empty)."""
+    min-degree elimination order of the graph adj, which is consumed;
+    ties go to the smallest vertex."""
 
     def key(u):
-        nb = adj[u]
-        return (len(nb & marked), len(nb), u)
+        return (len(adj[u]), u)
 
     steps = []
     current = {u: key(u) for u in adj}
@@ -145,12 +143,11 @@ def _from_elimination(steps):
     return TreeDecomposition(bags, edges)
 
 
-def elimination_td(adj, marked=frozenset()):
+def elimination_td(adj):
     """Decomposition of the graph adj, a map from each vertex to the set
-    of its neighbours, from the min-degree elimination order; a non-empty
-    marked set makes the vertex with the fewest neighbours in marked go
-    first.  adj is consumed."""
-    return _from_elimination(min_degree_order(adj, frozenset(marked)))
+    of its neighbours, from the min-degree elimination order.  adj is
+    consumed."""
+    return _from_elimination(min_degree_order(adj))
 
 
 def heuristic_decompose(inst):

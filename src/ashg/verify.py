@@ -229,14 +229,19 @@ def verify_treewidth(inst, P, td=None, mode=VALUE, max_states=5_000_000):
     member of that X was forgotten after its check passed, and each of its
     neighbours shared a bag with it below, so X blocks.  A Stable answer
     runs to the root.  stats["states"] counts the states built until then.
+
+    A td passed in is validated for inst, and an invalid one raises
+    PreconditionError; without td, heuristic_decompose's decomposition,
+    valid by construction, is used as built.
     """
     if mode not in (VALUE, EDGESET):
         raise ValueError("unknown mode %r" % mode)
     if td is None:
         td = heuristic_decompose(inst)
-    report = validate_td(inst, td)
-    if report is not None:
-        raise PreconditionError("invalid tree decomposition: %s" % report)
+    else:
+        report = validate_td(inst, td)
+        if report is not None:
+            raise PreconditionError("invalid tree decomposition: %s" % report)
     return _treewidth_dp(inst, P, td, mode, max_states)
 
 

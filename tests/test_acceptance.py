@@ -15,12 +15,11 @@ from ashg.generators import (gadget_partition_blocks, gen_33sat_cs,
                              coloring_partition_3col)
 from ashg.instance import AshgInstance, Partition, is_blocking
 from ashg.kcore import greedy_2core, verify_kcore
-from ashg.qbf import (eval_bruteforce, fresh_primal_td, qbf_to_cnf,
-                      sat_treewidth)
+from ashg.qbf import decide_ea, eval_bruteforce
 from ashg.treedecomp import TreeDecomposition, validate_td
 from ashg.verify import (EDGESET, VALUE, verify_bruteforce, verify_tree,
                          verify_treewidth, verify_vertexcover)
-from test_qbf import random_formula
+from test_qbf import model_holds, random_formula
 
 
 def random_game(rng, max_n, max_w, density=0.4):
@@ -164,11 +163,10 @@ def test_acceptance_4_qbf_engine():
     rng = random.Random(777)
     for _ in range(500):
         q = random_formula(rng, max_vars=10)
-        cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
-        s = ctd.stats
-        bound = 24 * s["sum_pow_univ"] * (s["t_exists"] + s["t_forall"] + 1)
-        assert len(cnf.clauses) <= bound
-        assert sat_treewidth(cnf, ctd)[0] == eval_bruteforce(q)[0]
+        sat, model = decide_ea(q)
+        assert sat == eval_bruteforce(q)[0], q
+        if sat:
+            assert model_holds(q, model), q
     elapsed = time.time() - start
     assert elapsed < 120, "500 formulas took %.1fs" % elapsed
 

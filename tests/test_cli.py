@@ -302,15 +302,28 @@ def test_solve_k_requires_brute(runner, tmp_path):
 def test_solve_emits_formula_files(runner, tmp_path):
     g = tmp_path / "edge.graph"
     write(g, NEG_EDGE)
-    dimacs = tmp_path / "out.cnf"
     qdimacs = tmp_path / "out.qdimacs"
     result = runner.invoke(main, ["solve", str(g),
-                                  "--emit-dimacs", str(dimacs),
                                   "--emit-qdimacs", str(qdimacs)])
     assert result.exit_code == 0
-    assert dimacs.read_text().startswith("p cnf ")
     text = qdimacs.read_text()
     assert text.splitlines()[1].startswith("e ")
+
+
+def test_solve_has_no_cnf_output(runner, tmp_path):
+    # solve writes its formula only as QDIMACS; a CNF output is a usage error
+    g = tmp_path / "edge.graph"
+    write(g, NEG_EDGE)
+    dimacs = tmp_path / "out.cnf"
+    result = runner.invoke(main, ["solve", str(g), "--emit-dimacs",
+                                  str(dimacs)])
+    assert result.exit_code == 2
+    assert "No such option" in result.output
+    assert "--emit-dimacs" in result.output
+    assert not dimacs.exists()
+    help_text = runner.invoke(main, ["solve", "--help"]).output
+    assert "--emit-qdimacs" in help_text
+    assert "--emit-dimacs" not in help_text
 
 
 def test_solve_qdimacs_keeps_transitivity_clauses(runner, tmp_path):

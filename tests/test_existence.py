@@ -4,13 +4,13 @@ import warnings
 
 import pytest
 
-from ashg import existence, qbf, verify
+from ashg import existence, verify
 from ashg.errors import PreconditionError, ResourceLimitError
 from ashg.existence import (EXISTS, NOT_EXISTS, decode_partition, encode_cs,
                             solve_cs, solve_cs_bruteforce)
 from ashg.generators import gen_eapartition_cs, gen_gadget
 from ashg.instance import AshgInstance, Partition
-from ashg.qbf import QbfEA, eval_bruteforce, fresh_primal_td, qbf_to_cnf
+from ashg.qbf import QbfEA, eval_bruteforce
 from ashg.treedecomp import (TreeDecomposition, heuristic_decompose,
                              validate_td)
 from ashg.verify import verify_bruteforce, verify_treewidth
@@ -168,16 +168,9 @@ def test_solve_cs_collect_artifacts():
     assert set(collect) == {"encoding"}
 
 
-def compile_encoding(collect):
-    """The CNF and its decomposition compiled from collect's encoding."""
-    q = collect["encoding"].formula
-    return qbf_to_cnf(q, fresh_primal_td(q))
-
-
 def test_solve_cs_k4_layer_counts():
-    # the roadmap K4 game; the formula goes to the compile as encoded, with
-    # the clauses beside it, so the universal variables are the four y
-    # plus the links of the all-out terms
+    # the roadmap K4 game's formula: the universal variables are the four
+    # y plus the links of the all-out terms
     inst = AshgInstance(4, [(0, 1, 2), (0, 2, -1), (0, 3, 1), (1, 2, 1),
                             (1, 3, -2), (2, 3, 1)])
     collect = {}
@@ -185,11 +178,8 @@ def test_solve_cs_k4_layer_counts():
     enc = collect["encoding"]
     q = enc.formula
     assert q.y_vars[:4] == tuple(enc.vertex_var[u] for u in range(4))
-    assert len(q.y_vars) == 7
-    cnf, cnf_td = compile_encoding(collect)
-    assert len(cnf.clauses) == 214
-    assert cnf_td.stats["t_forall"] == 5
-    assert cnf_td.stats["sum_pow_univ"] == 100
+    assert (len(q.x_vars), len(q.y_vars)) == (6, 7)
+    assert (len(q.dnf), len(q.cnf)) == (72, 12)
 
 
 def test_solve_cs_k4_dp_sizes():
@@ -206,11 +196,10 @@ def test_solve_cs_star_degree_nine():
     rng = random.Random(9)
     inst = AshgInstance(10, [(0, v, rng.choice([-3, -2, -1, 1, 2, 3]))
                              for v in range(1, 10)])
-    collect = {}
-    res = solve_cs(inst, collect=collect)
+    res = solve_cs(inst)
     assert res.verdict == EXISTS
     assert verify_treewidth(inst, res.partition).stable
-    assert len(compile_encoding(collect)[0].clauses) == 2138
+    assert res.stats == {"t_exists": 9, "t_forall": 11, "states": 676}
 
 
 def test_solve_cs_given_td_need_not_cover_zero_edges():
@@ -236,9 +225,10 @@ def test_solve_cs_matches_bruteforce_small():
 
 @pytest.mark.parametrize("n", [30, 120])
 def test_solve_cs_weighted_paths_certified(n):
-    # no zero edge splits the path, so the compiled CNF is one long chain
-    # of bags; each bag projects its child's table onto its own variables,
-    # which keeps the DP states linear in n under the default caps
+    # no zero edge splits the path, so the DP's elimination order is one
+    # long chain of nodes; each node forgets its variable and keeps only
+    # the subset-minimal states, which keeps them linear in n under the
+    # default caps
     for seed in (1, 2):
         rng = random.Random(seed)
         inst = AshgInstance(n, [(i, i + 1, rng.choice([-3, -2, -1, 1, 2, 3]))
@@ -276,24 +266,12 @@ def caterpillar(spine, seed=1):
     return AshgInstance(2 * spine, edges)
 
 
-def t_forall(inst):
-    collect = {}
-    res = solve_cs(inst, collect=collect)
-    assert res.verdict == EXISTS
-    assert verify_treewidth(inst, res.partition).stable
-    return compile_encoding(collect)[1].stats["t_forall"]
-
-
-def test_solve_cs_t_forall_flat_on_ladders():
-    # the all-out term follows the decomposition, not the vertex ids, which
-    # jump a whole row at each step; 2x8 first, as a chain in id order
-    # makes it large and 2x16 slow
-    assert t_forall(ladder(8)) == 6
-    assert t_forall(ladder(16)) == 6
-    inst = ladder(32)
+def certified_sizes(inst):
+    """The DP's sizes on inst, whose Exists answer is checked again."""
     res = solve_cs(inst)
     assert res.verdict == EXISTS
     assert verify_treewidth(inst, res.partition).stable
+    return res.stats
 
 
 def test_solve_cs_dp_t_forall_flat_on_ladders():
@@ -319,18 +297,6 @@ def test_solve_cs_decides_grids_and_eapartition():
     assert solve_cs(ea.instance).verdict == NOT_EXISTS
     elapsed = time.time() - start
     assert elapsed < 60, "grids and eapartition took %.1fs" % elapsed
-
-
-def test_solve_cs_does_not_compile_to_cnf(monkeypatch):
-    def boom(*args, **kwargs):
-        raise AssertionError("the CNF route was called")
-
-    for name in ("qbf_to_cnf", "fresh_primal_td", "sat_treewidth"):
-        monkeypatch.setattr(qbf, name, boom)
-        monkeypatch.setattr(existence, name, boom, raising=False)
-    inst = AshgInstance(4, [(0, 1, 2), (1, 2, -1), (2, 3, 1), (0, 3, 1)])
-    assert solve_cs(inst).verdict == EXISTS
-    assert solve_cs(gen_gadget(rho=-16).instance).verdict == NOT_EXISTS
 
 
 def test_solve_cs_certifies_in_the_library(monkeypatch):
@@ -361,8 +327,10 @@ def test_solve_cs_validates_its_decomposition_once(monkeypatch):
 
 def test_solve_cs_t_forall_flat_on_caterpillars():
     # a decomposition that branches at every spine bag
-    assert t_forall(caterpillar(10)) == 5
-    assert t_forall(caterpillar(20)) == 5
+    assert certified_sizes(caterpillar(10)) == {
+        "t_exists": 3, "t_forall": 5, "states": 294}
+    assert certified_sizes(caterpillar(20)) == {
+        "t_exists": 3, "t_forall": 5, "states": 624}
 
 
 def test_all_out_terms_at_most_four_literals():

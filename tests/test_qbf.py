@@ -2,18 +2,9 @@ import random
 
 import pytest
 
-from ashg.errors import PreconditionError, ResourceLimitError
-from ashg.qbf import (Cnf, QbfEA, decide_ea, eval_bruteforce,
-                      fresh_primal_td, qbf_to_cnf, sat_treewidth, to_dimacs,
+from ashg.errors import ResourceLimitError
+from ashg.qbf import (QbfEA, _primal_graph, decide_ea, eval_bruteforce,
                       to_qdimacs)
-from ashg.treedecomp import TreeDecomposition, elimination_td
-
-
-def run_chain(q):
-    """Full compilation pipeline verdict for a formula."""
-    cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
-    sat, model = sat_treewidth(cnf, ctd)
-    return sat
 
 
 def random_formula(rng, max_vars=10, max_width=5):
@@ -33,6 +24,18 @@ def random_formula(rng, max_vars=10, max_width=5):
             picks = rng.sample(allv, min(len(allv), rng.randint(1, max_width)))
             dnf.append(tuple(v if rng.random() < 0.5 else -v for v in picks))
     return QbfEA(xs, ys, tuple(dnf), tuple(cnf))
+
+
+def model_holds(q, model):
+    """True when model satisfies q's clauses and every y makes a term true."""
+    if any(not any(model[abs(l)] == (l > 0) for l in cl) for cl in q.cnf):
+        return False
+    for ybits in range(1 << len(q.y_vars)):
+        value = dict(model)
+        value.update((y, bool(ybits >> i & 1)) for i, y in enumerate(q.y_vars))
+        if not any(all(value[abs(l)] == (l > 0) for l in t) for t in q.dnf):
+            return False
+    return True
 
 
 def test_formula_validation():
@@ -65,118 +68,34 @@ def test_eval_bruteforce_cap():
         eval_bruteforce(QbfEA(xs, (), ((1,),)), cap=24)
 
 
-def test_qbf_to_cnf_no_universals():
-    q = QbfEA((1, 2), (), ((1, -2), (-1, 2)))
-    cnf, td = qbf_to_cnf(q, fresh_primal_td(q))
-    assert sat_treewidth(cnf, td)[0] is True
-
-
-def test_qbf_to_cnf_simple_sat():
-    q = QbfEA((1,), (2,), ((1, 2), (1, -2)))
-    cnf, td = qbf_to_cnf(q, fresh_primal_td(q))
-    assert sat_treewidth(cnf, td)[0] is True
-
-
-def test_qbf_to_cnf_simple_unsat():
-    q = QbfEA((), (1,), ((1,),))
-    cnf, td = qbf_to_cnf(q, fresh_primal_td(q))
-    assert sat_treewidth(cnf, td)[0] is False
-
-
 def test_qbf_to_cnf_compiles_wide_terms():
-    # terms of up to 6 literals go to the compile unsplit
+    # terms of up to 6 literals go to decide_ea unsplit
     rng = random.Random(66)
     wide = 0
     for _ in range(100):
         q = random_formula(rng, max_vars=10, max_width=6)
         wide += any(len(t) > 3 for t in q.dnf)
-        cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
-        assert sat_treewidth(cnf, ctd)[0] == eval_bruteforce(q)[0]
-    assert wide > 50
-
-
-def test_sat_treewidth_basics():
-    td = TreeDecomposition([{1}], [])
-    assert sat_treewidth(Cnf([(1,), (-1,)], 1), td)[0] is False
-    sat, model = sat_treewidth(Cnf([], 0), TreeDecomposition([set()], []))
-    assert sat is True
-    assert sat_treewidth(Cnf([(1, -2), (2,)], 2),
-                         TreeDecomposition([{1, 2}], []))[0]
-
-
-def test_sat_treewidth_clause_not_covered():
-    td = TreeDecomposition([{1}, {2}], [(0, 1)])
-    with pytest.raises(PreconditionError):
-        sat_treewidth(Cnf([(1, 2)], 2), td)
-
-
-def test_sat_treewidth_random_3cnf():
-    rng = random.Random(8)
-    for _ in range(40):
-        nv = 12
-        clauses = []
-        for _ in range(rng.randint(1, 40)):
-            picks = rng.sample(range(1, nv + 1), 3)
-            clauses.append(tuple(v if rng.random() < 0.5 else -v
-                                 for v in picks))
-        cnf = Cnf(clauses, nv)
-        adj = {v: set() for v in range(1, nv + 1)}
-        for cl in clauses:
-            for a in cl:
-                adj[abs(a)] |= {abs(b) for b in cl if abs(b) != abs(a)}
-        td = elimination_td(adj)
-        exhaustive = any(
-            all(any((bits >> (abs(l) - 1) & 1) == (l > 0) for l in cl)
-                for cl in clauses)
-            for bits in range(1 << nv))
-        sat, model = sat_treewidth(cnf, td)
-        assert sat == exhaustive
+        sat, model = decide_ea(q)
+        assert sat == eval_bruteforce(q)[0], q
         if sat:
-            for cl in clauses:
-                assert any(model[abs(l)] == (l > 0) for l in cl)
-
-
-def test_end_to_end_random():
-    rng = random.Random(1234)
-    for _ in range(100):
-        q = random_formula(rng, max_vars=8)
-        assert run_chain(q) == eval_bruteforce(q)[0]
-
-
-def test_cnf_size_bound():
-    rng = random.Random(55)
-    for _ in range(40):
-        q = random_formula(rng, max_vars=8)
-        cnf, ctd = qbf_to_cnf(q, fresh_primal_td(q))
-        s = ctd.stats
-        bound = 24 * s["sum_pow_univ"] * (s["t_exists"] + s["t_forall"] + 1)
-        assert len(cnf.clauses) <= bound
+            assert model_holds(q, model), q
+    assert wide > 50
 
 
 def test_carried_clause_decides_the_verdict():
     # exists x1: (-x1) and forall (): (x1) is false only through the clause
     q = QbfEA((1,), (), ((1,),), ((-1,),))
     assert eval_bruteforce(q)[0] is False
-    assert run_chain(q) is False
+    assert decide_ea(q) == (False, None)
 
 
 def test_clause_variables_sharing_no_term_get_a_bag():
-    # x1 and x2 share no term: only the clause's clique puts them in one bag
+    # x1 and x2 share no term: only the clause's clique joins them
     q = QbfEA((1, 2), (3,), ((1, 3), (1, -3), (2,)), ((-1, -2),))
-    assert run_chain(q) is eval_bruteforce(q)[0] is True
-    assert any({1, 2} <= b for b in fresh_primal_td(q).bags)
-
-
-def model_holds(q, model):
-    """True when model satisfies q's clauses and every y makes a term true."""
-    if any(not any(model[abs(l)] == (l > 0) for l in cl) for cl in q.cnf):
-        return False
-    for ybits in range(1 << len(q.y_vars)):
-        value = dict(model)
-        value.update((y, bool(ybits >> i & 1)) for i, y in enumerate(q.y_vars))
-        if not any(all(value[abs(l)] == (l > 0) for l in t) for t in q.dnf):
-            return False
-    return True
+    sat, model = decide_ea(q)
+    assert sat is eval_bruteforce(q)[0] is True
+    assert model_holds(q, model)
+    assert 2 in _primal_graph(q)[1]
 
 
 def test_decide_ea_matches_bruteforce():
@@ -244,11 +163,6 @@ def test_decide_ea_reports_sizes_and_caps_memory():
     assert stats["states"] > 0
     with pytest.raises(ResourceLimitError):
         decide_ea(q, max_states=2)
-
-
-def test_to_dimacs():
-    cnf = Cnf([(1, -2), (2,)], 2)
-    assert to_dimacs(cnf) == "p cnf 2 2\n1 -2 0\n2 0\n"
 
 
 def test_to_qdimacs():

@@ -299,9 +299,34 @@ def test_treewidth_pinned_states_and_witness(inst, td, blocks, mode, witness,
 
 def test_treewidth_rejects_invalid_td():
     inst = triangle()
-    bad = TreeDecomposition([{0, 1}], [])
-    with pytest.raises(PreconditionError):
-        verify_treewidth(inst, Partition.singletons(3), td=bad)
+    for bags, edges in [
+        ([{0, 1}], []),  # vertex 2 in no bag
+        ([{0, 1}, {1, 2}], [(0, 1)]),  # edge 02 in no bag
+        ([{0, 1}, {1, 2}, {0, 2}], [(0, 1), (1, 2)]),  # 0's bags disconnected
+        ([{0, 1, 2}, {0, 1, 2}], []),  # not a tree
+    ]:
+        bad = TreeDecomposition(bags, edges)
+        with pytest.raises(PreconditionError):
+            verify_treewidth(inst, Partition.singletons(3), td=bad)
+
+
+def test_treewidth_validates_only_a_given_td(monkeypatch):
+    # the decomposition verify_treewidth builds itself is valid by
+    # construction; one its caller passes in is checked
+    calls = []
+
+    def counted(inst, td):
+        calls.append(td)
+        return treedecomp.validate_td(inst, td)
+
+    monkeypatch.setattr(verify, "validate_td", counted)
+    inst = triangle()
+    P = Partition.singletons(3)
+    assert verify_treewidth(inst, P).verdict == UNSTABLE
+    assert calls == []
+    td = heuristic_decompose(inst)
+    assert verify_treewidth(inst, P, td=td).verdict == UNSTABLE
+    assert calls == [td]
 
 
 def test_treewidth_state_cap():
