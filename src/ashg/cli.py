@@ -11,7 +11,6 @@ everything else goes to stderr.
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 
@@ -181,7 +180,7 @@ def decompose(instance_path):
     click.echo(emit_td(td, inst.n), nl=False)
 
 
-def _write_outputs(prefix, gen, extra_provenance=()):
+def _write_outputs(prefix, gen):
     paths = []
     with open(prefix + ".graph", "w") as fh:
         fh.write(emit_instance(gen.instance))
@@ -196,8 +195,6 @@ def _write_outputs(prefix, gen, extra_provenance=()):
         paths.append(prefix + ".td")
     with open(prefix + ".provenance", "w") as fh:
         fh.write("expected %s\n" % gen.expected)
-        for line in extra_provenance:
-            fh.write(line + "\n")
         for key in sorted(gen.info, key=str):
             fh.write("%s %s\n" % (key, gen.info[key]))
     paths.append(prefix + ".provenance")
@@ -338,49 +335,26 @@ _SUITES = [
 ]
 
 
-def _crossval_chunk(args):
-    suite_name, seeds = args
-    fn = dict(_SUITES)[suite_name]
-    failures = []
-    for seed in seeds:
-        ok, case = fn(random.Random(seed))
-        if not ok:
-            failures.append((seed, case))
-    return suite_name, len(seeds), failures
-
-
 @main.command()
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--trials", type=click.IntRange(min=1), default=100,
               show_default=True, help="Trials per suite.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1,
-              show_default=True)
-def crossval(seed, trials, jobs):
+def crossval(seed, trials):
     """Cross-validate every brute-forcible reduction; exit 1 on mismatch."""
-    chunks = []
-    for idx, (name, _) in enumerate(_SUITES):
-        seeds = [seed * 1_000_003 + idx * trials + t for t in range(trials)]
-        step = max(1, (trials + jobs - 1) // jobs)
-        for lo in range(0, trials, step):
-            chunks.append((name, seeds[lo:lo + step]))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_crossval_chunk, chunks))
-    else:
-        results = [_crossval_chunk(c) for c in chunks]
-    totals = {}
     failures = []
-    for name, count, fails in results:
-        done, bad = totals.get(name, (0, 0))
-        totals[name] = (done + count, bad + len(fails))
-        failures.extend((name,) + f for f in fails)
+    for idx, (name, check) in enumerate(_SUITES):
+        for t in range(trials):
+            case_seed = seed * 1_000_003 + idx * trials + t
+            ok, case = check(random.Random(case_seed))
+            if not ok:
+                failures.append((name, case_seed, case))
     for name, _ in _SUITES:
-        done, bad = totals[name]
-        click.echo("%-12s %d/%d passed" % (name, done - bad, done))
+        bad = sum(fail[0] == name for fail in failures)
+        click.echo("%-12s %d/%d passed" % (name, trials - bad, trials))
     if failures:
-        for name, fail_seed, case in failures:
+        for name, case_seed, case in failures:
             click.echo("disagreement: suite=%s seed=%d case=%r"
-                       % (name, fail_seed, case), err=True)
+                       % (name, case_seed, case), err=True)
         sys.exit(1)
 
 

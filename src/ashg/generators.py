@@ -30,15 +30,6 @@ class GenResult:
     info: dict = field(default_factory=dict)
 
 
-def max_positive_incident(inst):
-    """Largest per-vertex sum of positive incident weights; attachments
-    need rho below the negation of this to pin gadget vertices."""
-    best = 0
-    for u in inst.vertices():
-        best = max(best, sum(w for w in inst.neighbors(u).values() if w > 0))
-    return best
-
-
 class GraphBuilder:
     """Accumulates named vertices and weighted edges."""
 

@@ -54,9 +54,6 @@ class AshgInstance:
     def neighbors(self, u):
         return self._adj[u]
 
-    def degree(self, u):
-        return len(self._adj[u])
-
     def vertices(self):
         return range(self.n)
 
@@ -177,18 +174,6 @@ def is_blocking(inst, P, X):
     if not X:
         raise PreconditionError("blocking coalition must be non-empty")
     return all(utility(inst, X, u) > partition_utility(inst, P, u) for u in X)
-
-
-def normalize_connected(inst, P):
-    """Split every block into its connected components.
-
-    Per-vertex partition utilities are unchanged: vertices in different
-    components of a block share no edges.
-    """
-    blocks = []
-    for b in P.blocks:
-        blocks.extend(inst.components_of(b))
-    return Partition(blocks, inst.n)
 
 
 def iter_partitions(n):

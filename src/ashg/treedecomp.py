@@ -143,17 +143,11 @@ def _from_elimination(steps):
     return TreeDecomposition(bags, edges)
 
 
-def elimination_td(adj):
-    """Decomposition of the graph adj, a map from each vertex to the set
-    of its neighbours, from the min-degree elimination order.  adj is
-    consumed."""
-    return _from_elimination(min_degree_order(adj))
-
-
 def heuristic_decompose(inst):
     """Decomposition of the game's graph from the min-degree elimination
     order."""
-    return elimination_td({u: set(inst.neighbors(u)) for u in inst.vertices()})
+    return _from_elimination(min_degree_order(
+        {u: set(inst.neighbors(u)) for u in inst.vertices()}))
 
 
 def read_td(text, inst):

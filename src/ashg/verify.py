@@ -39,17 +39,20 @@ def verify_bruteforce(inst, P, max_size=None, cap=1_000_000):
     Singletons come first.  Then, as a blocking coalition holds only agents
     that strictly improve, any agent whose positive weights to the
     remaining agents sum to at most its partition utility is dropped,
-    repeatedly.  The connected sets of the rest grow one neighbour at a
-    time, a size at a time.  A set is a bitmask with bit n-1-u for agent
-    u, so among sets of one size the lexicographically first is the
-    largest mask.
+    repeatedly.  For each size, each connected set of the rest is grown
+    once, depth-first from its least member (the ESU scheme of Wernicke,
+    "Efficient detection of network motifs", 2006), so the search holds
+    one branch of sets at a time.  A set is a bitmask with bit n-1-u for
+    agent u, so among sets of one size the lexicographically first is the
+    largest mask, and the first least member that leads a blocking set
+    leads the witness.
 
     stats["examined"] and cap count candidate coalitions in that order over
     every subset of the agents, examined or skipped: the witness's
     position, or all subsets of at most max_size agents for a Stable
-    answer.  ResourceLimitError is raised when that count exceeds cap.
-    The search holds two sizes' connected sets at a time, and under a cap
-    neither holds more than cap of them.
+    answer.  ResourceLimitError is raised when that count exceeds cap,
+    as soon as the first subset led by the next agent to search lies past
+    cap, since the count can only be larger.
     """
     n = inst.n
     ut_p = all_partition_utilities(inst, P)
@@ -86,7 +89,8 @@ def verify_bruteforce(inst, P, max_size=None, cap=1_000_000):
         bits = {u: 1 << (n - 1 - u) for u in survivors}
         weights = {u: [(bits[v], w) for v, w in adj[u].items() if alive[v]]
                    for u in survivors}
-        frontier_of = {bits[u]: sum(b for b, _ in weights[u]) for u in survivors}
+        nbrs = {u: sum(b for b, _ in weights[u]) for u in survivors}
+        alive_mask = sum(bits.values())
 
         def blocks(X):
             rest = X
@@ -98,56 +102,47 @@ def verify_bruteforce(inst, P, max_size=None, cap=1_000_000):
                     return False
             return True
 
-        level = frontier_of
         start = 1 + n  # position of the first coalition of each size
         for size in range(2, limit + 1):
-            over_cap(start)
-            count = comb(n, size)
-            # on the size where the cap falls, keep only coalitions at or
-            # before it, the masks from floor up.  Each holds an agent no
-            # later than floor's first (bit top), so a set without one may
-            # only gain such an agent.
-            floor = top = 0
-            if cap is not None and start + count - 1 > cap:
-                floor = _lex_mask(cap - start, n, size)
-                top = 1 << (floor.bit_length() - 1)
-            grown = {}
-            for X, frontier in level.items():
-                rest = frontier if X >= top else frontier & -top
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    Y = X | low
-                    if Y >= floor and Y not in grown:
-                        grown[Y] = (frontier | frontier_of[low]) & ~Y
+            first = start  # position of the first coalition led by u
+            grown = False
+            for u in range(n):
+                if alive[u]:
+                    over_cap(first)
+                    # each connected set led by u grows once: a set X may
+                    # take from ext, and a child taking w adds w's later
+                    # neighbours still unseen, that is, not in or next to X
+                    later = alive_mask & (bits[u] - 1)
+                    best = 0
+                    ext = nbrs[u] & later
+                    stack = [(bits[u], ext, later & ~ext, size - 1)]
+                    while stack:
+                        X, ext, unseen, need = stack.pop()
+                        if (ext | unseen).bit_count() < need:
+                            continue
+                        while ext:
+                            low = ext & -ext
+                            ext ^= low
+                            Y = X | low
+                            if need == 1:
+                                grown = True
+                                if Y > best and blocks(Y):
+                                    best = Y
+                            else:
+                                new = nbrs[n - low.bit_length()] & unseen
+                                stack.append((Y, ext | new, unseen ^ new,
+                                              need - 1))
+                    if best:
+                        members = [v for v in survivors if best & bits[v]]
+                        examined = over_cap(start + _lex_rank(members, n))
+                        return VerificationResult(UNSTABLE, frozenset(members),
+                                                  {"examined": examined})
+                first += comb(n - 1 - u, size - 1)
             if not grown:
                 break
-            found = [Y for Y in grown if blocks(Y)]
-            if found:
-                X = max(found)
-                members = [u for u in survivors if X & bits[u]]
-                examined = over_cap(start + _lex_rank(members, n))
-                return VerificationResult(UNSTABLE, frozenset(members),
-                                          {"examined": examined})
-            start += count
-            level = grown
+            start = first
     examined = over_cap(sum(comb(n, s) for s in range(1, limit + 1)))
     return VerificationResult(STABLE, stats={"examined": examined})
-
-
-def _lex_mask(rank, n, s):
-    """Mask, with bit n-1-u for member u, of the subset of range(n) of size
-    s at the 0-based rank in lexicographic order."""
-    mask = 0
-    c = 0
-    for i in range(s):
-        # skip the subsets whose member i is c
-        while rank >= comb(n - 1 - c, s - 1 - i):
-            rank -= comb(n - 1 - c, s - 1 - i)
-            c += 1
-        mask |= 1 << (n - 1 - c)
-        c += 1
-    return mask
 
 
 def _lex_rank(members, n):
@@ -203,8 +198,8 @@ def verify_tree(inst, P):
                     if parent.get(v) == a and w >= 0 and below[v] + w > ut_p[v]:
                         X.add(v)
                         stack.append(v)
-            return VerificationResult(UNSTABLE, frozenset(X), {"expanded": inst.n})
-    return VerificationResult(STABLE, stats={"expanded": inst.n})
+            return VerificationResult(UNSTABLE, frozenset(X))
+    return VerificationResult(STABLE)
 
 
 VALUE = "VALUE"

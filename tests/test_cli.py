@@ -205,7 +205,7 @@ def test_solve_certifies_long_path_quickly(tmp_path):
     assert verify_tree(inst, P).stable
 
 
-# a solve run in a fresh process that reports its own peak resident set on
+# a command run in a fresh process that reports its own peak resident set on
 # the last line of stderr.  It reads VmHWM, not ru_maxrss: on Linux the
 # child's ru_maxrss keeps the high-water mark of the image it was forked
 # from, before exec, so it would report the test process's size.
@@ -222,9 +222,10 @@ finally:
 """
 
 
-def solve_measured(tmp_path, inst, *options):
-    """(exit code, stderr, peak RSS in MB) of solve on inst, run under a
-    1 GB address-space limit so that a run out of bounds fails fast."""
+def run_measured(tmp_path, command, inst, *args):
+    """(exit code, stderr, peak RSS in MB) of the command on inst and the
+    further args, run under a 1 GB address-space limit so that a run out
+    of bounds fails fast."""
     g = tmp_path / "game.graph"
     write(g, emit_instance(inst))
     src = os.path.dirname(os.path.dirname(ashg.__file__))
@@ -234,7 +235,7 @@ def solve_measured(tmp_path, inst, *options):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     result = subprocess.run(
-        [sys.executable, "-c", _MEASURED, "solve", str(g)] + list(options),
+        [sys.executable, "-c", _MEASURED, command, str(g)] + list(args),
         capture_output=True, text=True, env=env, timeout=120,
         preexec_fn=limit)
     last = result.stderr.split()[-2:]
@@ -245,7 +246,7 @@ def solve_measured(tmp_path, inst, *options):
 def test_solve_grid_within_memory_bound(tmp_path):
     # grid 3x8's DP states take a few MB; the bound leaves room for the
     # interpreter and click
-    code, err, peak = solve_measured(tmp_path, grid(3, 8))
+    code, err, peak = run_measured(tmp_path, "solve", grid(3, 8))
     assert code == 0, err
     assert "t_forall: 13" in err
     assert peak < 64, "peak RSS %.0f MB" % peak
@@ -254,11 +255,27 @@ def test_solve_grid_within_memory_bound(tmp_path):
 def test_solve_state_cap_exit_3_within_memory_bound(tmp_path):
     # the cap counts the words of the states held, so it trips before the
     # run grows
-    code, err, peak = solve_measured(tmp_path, grid(3, 8),
-                                     "--max-states", "30000")
+    code, err, peak = run_measured(tmp_path, "solve", grid(3, 8),
+                                   "--max-states", "30000")
     assert code == 3, err
     assert "ea_dp_states" in err
     assert peak < 64, "peak RSS %.0f MB" % peak
+
+
+def test_verify_brute_cap_exit_3_within_memory_bound(tmp_path):
+    # the dense grand coalition of test_verify's cap-inside-a-size test:
+    # no agent is dropped and nothing blocks within the default cap, and
+    # the search holds one branch of coalitions at a time, not whole sizes
+    rng = random.Random(30)
+    n = 30
+    inst = AshgInstance(n, [(u, v, rng.choice((-1, 1, 2)))
+                            for u in range(n) for v in range(u + 1, n)])
+    p = tmp_path / "grand.partition"
+    write(p, emit_partition(Partition.grand(n)))
+    code, err, peak = run_measured(tmp_path, "verify", inst, str(p))
+    assert code == 3, err
+    assert "enumeration=1000000" in err
+    assert peak < 40, "peak RSS %.0f MB" % peak
 
 
 def test_solve_certification_cap_exit_3(runner, tmp_path, monkeypatch):
@@ -471,16 +488,8 @@ def test_crossval_deterministic(runner):
     assert a.output == b.output
 
 
-@pytest.mark.parametrize("option", ["--trials", "--jobs"])
+@pytest.mark.parametrize("option", ["--trials"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_crossval_rejects_non_positive_counts(runner, option, value):
     result = runner.invoke(main, ["crossval", option, value])
     assert result.exit_code == 2, result.output
-
-
-def test_crossval_jobs_match_single_process(runner):
-    args = ["crossval", "--trials", "3", "--seed", "7"]
-    one = runner.invoke(main, args + ["--jobs", "1"])
-    two = runner.invoke(main, args + ["--jobs", "2"])
-    assert one.exit_code == two.exit_code == 0
-    assert two.output == one.output

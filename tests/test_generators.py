@@ -10,7 +10,7 @@ from ashg.generators import (GraphBuilder, attach_gadget,
                              gadget_partition_blocks, gen_33sat_cs,
                              gen_3col_kcs, gen_bdd_csv, gen_binpacking_csv,
                              gen_clique_kcsv, gen_eapartition_cs, gen_gadget,
-                             gen_partition_csv, max_positive_incident)
+                             gen_partition_csv)
 from ashg.instance import AshgInstance, is_blocking
 from ashg.kcore import verify_kcore
 from ashg.treedecomp import validate_td
@@ -44,11 +44,6 @@ def test_gadget_partition_without_h_is_stable():
     blocks = [{remap[v] for v in blk}
               for blk in gadget_partition_blocks(ids)]
     assert verify_bruteforce(sub, Partition(blocks, 5)).stable
-
-
-def test_max_positive_incident():
-    inst = AshgInstance(3, [(0, 1, 4), (0, 2, -9), (1, 2, 2)])
-    assert max_positive_incident(inst) == 6
 
 
 def test_attach_counting():

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from ashg.errors import ParseError, PreconditionError
 from ashg.instance import (AshgInstance, Partition, emit_instance,
                            emit_partition, is_blocking, iter_partitions,
-                           normalize_connected, parse_instance,
-                           parse_partition, partition_utility, utility)
+                           parse_instance, parse_partition,
+                           partition_utility, utility)
 from ashg.treedecomp import read_td
 
 
@@ -79,36 +79,11 @@ def test_is_blocking_rejects_empty():
         is_blocking(triangle(), Partition([{0}, {1}, {2}], 3), set())
 
 
-def test_normalize_connected_splits_components():
-    inst = AshgInstance(3, [(0, 1, 1)])
-    P = normalize_connected(inst, Partition([{0, 1, 2}], 3))
-    assert sorted(sorted(b) for b in P.blocks) == [[0, 1], [2]]
-
-
-def test_normalize_connected_fixpoint():
-    inst = triangle()
-    P = Partition([{0, 1, 2}], 3)
-    assert normalize_connected(inst, P).blocks == P.blocks
-
-
-def test_normalize_connected_empty_graph():
-    inst = AshgInstance(4, [])
-    P = normalize_connected(inst, Partition([{0, 1, 2, 3}], 4))
-    assert len(P.blocks) == 4
-
-
 def test_zero_weight_edges_count_for_connectivity():
+    # decode_partition reads its blocks off components_of, so a zero-weight
+    # edge must still join its ends
     inst = AshgInstance(2, [(0, 1, 0)])
-    P = normalize_connected(inst, Partition([{0, 1}], 2))
-    assert len(P.blocks) == 1
-
-
-@given(instance_with_partition())
-def test_normalize_preserves_utilities(data):
-    inst, P = data
-    Q = normalize_connected(inst, P)
-    for u in range(inst.n):
-        assert partition_utility(inst, P, u) == partition_utility(inst, Q, u)
+    assert len(inst.components_of({0, 1})) == 1
 
 
 @given(instances(max_n=6))
